@@ -14,11 +14,13 @@
 //! **asserts** the two acceptance properties: a single-query delta re-solves
 //! only the relation it touches, and beats the full re-profile wall clock by
 //! at least 5×.  It also cross-checks equivalence: identical per-relation
-//! row counts between the two paths at every delta size.
+//! row counts between the two paths at every delta size.  A last row times a
+//! pure re-annotation delta (a revised row count, identical boxes).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hydra_bench::{delta_of, retail_delta_fixture, BenchReport};
 use hydra_core::session::Hydra;
+use hydra_query::delta::WorkloadDelta;
 use std::time::{Duration, Instant};
 
 fn best_of(mut run: impl FnMut() -> Duration, tries: usize) -> Duration {
@@ -130,6 +132,47 @@ fn bench_delta_reprofile(c: &mut Criterion) {
             );
         }
     }
+
+    // A pure re-annotation delta: store_sales's row count is revised by 1 %
+    // but its constraint boxes are not, so the relation re-solves over the
+    // same partition, re-swept from its constraints (the baseline keeps only
+    // the warm seed).  store_sales has the largest partition, so this is the
+    // worst case for that sweep; its partition time is reported on its own.
+    let rows = package.metadata.row_count("store_sales");
+    let reannotate = WorkloadDelta::new().with_row_count("store_sales", rows + rows / 100);
+    let outcome = session
+        .profile_delta(&state, &reannotate)
+        .expect("re-annotation delta");
+    let partition_ms = outcome
+        .state
+        .regeneration
+        .build_report
+        .relations
+        .iter()
+        .find(|r| r.table == "store_sales")
+        .map_or(0.0, |r| r.lp.partition_time.as_secs_f64() * 1e3);
+    let reannotate_time = best_of(
+        || {
+            let start = Instant::now();
+            session.profile_delta(&state, &reannotate).expect("delta");
+            start.elapsed()
+        },
+        2,
+    );
+    report
+        .metric(
+            "reannotate_incremental_ms",
+            reannotate_time.as_secs_f64() * 1e3,
+        )
+        .metric("reannotate_partition_ms", partition_ms);
+    println!(
+        "re-annotation (store_sales rows +1 %) | {:.1} ms, store_sales partition {:.1} ms | {}/{}/{}",
+        reannotate_time.as_secs_f64() * 1e3,
+        partition_ms,
+        outcome.report.reused(),
+        outcome.report.warm_solved(),
+        outcome.report.cold_solved(),
+    );
 
     // Criterion series for the record (one delta size per bench id).
     let mut group = c.benchmark_group("delta_reprofile");

@@ -2,8 +2,8 @@
 //!
 //! A [`RegenerationState`] is a regeneration that *remembers how it was
 //! solved*: the published package, the extracted constraint set with
-//! per-query provenance, and the per-relation solve baseline (partition +
-//! solved region counts + constraint signatures).  Against that state, a
+//! per-query provenance, and the per-relation solve baseline (constraint
+//! signatures, summaries and warm seeds).  Against that state, a
 //! [`hydra_query::delta::WorkloadDelta`] — queries added, retired, or
 //! re-annotated after a fresh client run — is applied **incrementally**:
 //!
@@ -11,8 +11,8 @@
 //!    re-extracting untouched annotated plans;
 //! 2. relations whose constraint signature is unchanged reuse their previous
 //!    summary bit-identically (no partitioning, no LP);
-//! 3. changed relations re-solve with their previous partition refined in
-//!    place and the previous LP support warm-starting the simplex;
+//! 3. changed relations re-partition, and the previous LP support — kept as
+//!    the representative points of its regions — warm-starts the simplex;
 //! 4. the structural outcome is reported as a
 //!    [`hydra_summary::delta::SummaryDiff`] (blocks added / removed /
 //!    resized per relation).
@@ -42,7 +42,7 @@ pub struct RegenerationState {
     /// The extracted constraint set, with per-query provenance retained for
     /// incremental merging.
     pub constraints: ConstraintSet,
-    /// Per-relation solve artifacts (signatures, partitions, region counts).
+    /// Per-relation solve artifacts (signatures, summaries, warm seeds).
     baseline: SolveBaseline,
 }
 
@@ -142,9 +142,10 @@ impl VendorSite {
 
     /// Rebuilds a [`RegenerationState`] from a previously solved baseline —
     /// the recovery path of a durable registry.  No partitioning and no LP
-    /// runs: the summary is reassembled from the baseline's solved
-    /// relations, the stored build report is reattached verbatim (so
-    /// descriptions stay bit-identical across a restart), and only the
+    /// runs: the summary is reassembled from the baseline's relation
+    /// summaries (their warm seeds carry over for the next delta; no
+    /// partition is needed), the stored build report is reattached verbatim
+    /// (so descriptions stay bit-identical across a restart), and only the
     /// cheap artifacts (constraint extraction, verification, optional AQP
     /// comparisons) are recomputed.
     pub fn restore_stateful(

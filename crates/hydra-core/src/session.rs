@@ -336,7 +336,7 @@ impl Hydra {
     }
 
     /// [`Hydra::regenerate`] retaining the per-relation solve artifacts
-    /// (constraint signatures, region partitions, LP supports) that make the
+    /// (constraint signatures, summaries, warm seeds) that make the
     /// regeneration *evolvable*: feed the returned state and a
     /// [`hydra_query::delta::WorkloadDelta`] to [`Hydra::profile_delta`] and
     /// only the relations the delta actually touches re-solve.

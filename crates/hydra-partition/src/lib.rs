@@ -60,7 +60,7 @@ pub use error::{PartitionError, PartitionResult};
 pub use grid::GridPartition;
 pub use interval::Interval;
 pub use nbox::NBox;
-pub use refine::PartitionRefinement;
+pub use refine::{PartitionRefinement, WarmSeed};
 pub use region::{Region, RegionPartition, RegionPartitioner};
 pub use signature::Signature;
 pub use space::AttributeSpace;

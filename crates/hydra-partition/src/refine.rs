@@ -1,198 +1,89 @@
 //! Incremental partition refinement for delta re-profiling.
 //!
-//! When a workload evolves, most relations' constraint boxes are unchanged —
-//! and even on a changed relation, most of the attribute space keeps exactly
-//! the predicate boundaries it had.  [`RegionPartitioner::refine`] exploits
-//! both levels:
+//! A later re-solve of a relation needs very little of the previous solve:
+//! an LP warm start only asks which regions held tuples.  A basic LP
+//! solution has at most one nonzero region per constraint, so that
+//! *support* stays small however many regions the partition has.  The
+//! [`WarmSeed`] retains exactly that: the dimensionality of the attribute
+//! space and the representative point of every supported region — not the
+//! partition itself, which can run to tens of thousands of regions.
 //!
-//! * **identical boxes** (a pure cardinality re-annotation): the previous
-//!   partition is reused outright — no axis sweep, no regridding, and every
-//!   region carries over one-to-one;
-//! * **changed boxes**: only the axes whose elementary cut sets actually
-//!   moved contribute new boundaries; the sweep runs once over the new
-//!   constraint set and the previous solution's *support* (the regions that
-//!   actually held tuples — a basic LP solution has at most one per
-//!   constraint, so this set is small regardless of how many regions the
-//!   partition has) is mapped forward into the new partition, so a
-//!   downstream LP warm start can inherit it instead of starting from
-//!   nothing.
-//!
-//! The carry-over map is advisory (it feeds warm-start *hints*, never
-//! correctness): a supported previous region maps to the new region
-//! containing its representative point, and counts as *reused* when its
-//! point set is provably the same (equal volume — a region no new boundary
-//! split).  Mapping only the support keeps refinement linear in the support
-//! size instead of quadratic in the region count.
+//! [`RegionPartitioner::refine`] sweeps the new constraint set once (the
+//! result is bit-identical to [`RegionPartitioner::partition`]) and locates
+//! every seed point in the new partition; the regions hit are the warm
+//! columns of the next LP.  The mapping is advisory — it feeds warm-start
+//! hints, never correctness.  When the constraint boxes are unchanged, each
+//! seed point lands back in the region it came from, so the warm columns are
+//! exactly the previous support.
 
-use crate::nbox::NBox;
 use crate::region::{RegionPartition, RegionPartitioner};
-use crate::{PartitionError, PartitionResult};
+use crate::PartitionResult;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
-/// The result of incrementally refining a partition against a previous one.
+/// What a solved partition leaves behind for a later warm start.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct WarmSeed {
+    /// Dimensionality of the attribute space the seed was taken from.
+    pub dims: usize,
+    /// The representative point of every region with a nonzero solved
+    /// count, in region order.
+    pub points: Vec<Vec<i64>>,
+}
+
+impl WarmSeed {
+    /// The seed of a solved partition: `counts` are the per-region tuple
+    /// counts, in the order of `partition.regions()`.
+    pub fn from_solution(partition: &RegionPartition, counts: &[u64]) -> WarmSeed {
+        WarmSeed {
+            dims: partition.space().dims(),
+            points: partition
+                .regions()
+                .iter()
+                .zip(counts)
+                .filter(|(_, &count)| count > 0)
+                .map(|(region, _)| region.representative_point())
+                .collect(),
+        }
+    }
+}
+
+/// A partition of the new constraint set plus the warm columns a seed maps to.
 #[derive(Debug, Clone)]
 pub struct PartitionRefinement {
     /// The partition of the *new* constraint set.
     pub partition: RegionPartition,
-    /// `(old region, new region)` pairs: where each *supported* previous
-    /// region's representative point landed in the new partition.
-    pub carried: Vec<(usize, usize)>,
-    /// Number of supported previous regions whose geometry is provably
-    /// unchanged (carried into a new region of equal volume).
-    pub reused_regions: usize,
-    /// Axes whose elementary cut set changed between the previous and the
-    /// new constraint boxes (empty on a pure re-annotation delta).
-    pub changed_axes: Vec<usize>,
-    /// True when the previous partition was reused outright (identical
-    /// space and constraint boxes — no sweep ran at all).
-    pub full_reuse: bool,
-}
-
-impl PartitionRefinement {
-    /// Maps per-previous-region quantities (e.g. solved tuple counts) onto
-    /// the new regions along the carry-over pairs; new regions nothing
-    /// carried into get `0`.  The support of the result is the canonical LP
-    /// warm-start hint.
-    pub fn carry_values(&self, values: &[u64]) -> Vec<u64> {
-        let mut carried = vec![0u64; self.partition.num_variables()];
-        for &(old, new) in &self.carried {
-            carried[new] = carried[new].saturating_add(values.get(old).copied().unwrap_or(0));
-        }
-        carried
-    }
-
-    /// The new-region indices to prioritize in a warm-started LP: the
-    /// regions that inherit the previous solution's support.
-    pub fn warm_columns(&self) -> Vec<usize> {
-        let set: BTreeSet<usize> = self.carried.iter().map(|&(_, new)| new).collect();
-        set.into_iter().collect()
-    }
-}
-
-/// The per-axis elementary cut set a constraint collection induces (the same
-/// cuts the axis sweep uses).
-fn axis_cuts(
-    space: &crate::space::AttributeSpace,
-    constraints: &[Vec<NBox>],
-    axis: usize,
-) -> BTreeSet<i64> {
-    let domain = space.domain(axis);
-    let mut cuts: BTreeSet<i64> = BTreeSet::new();
-    cuts.insert(domain.lo);
-    cuts.insert(domain.hi);
-    for boxes in constraints {
-        for b in boxes {
-            let iv = b.interval(axis).intersect(&domain);
-            if iv.is_empty() {
-                continue;
-            }
-            if iv.lo > domain.lo && iv.lo < domain.hi {
-                cuts.insert(iv.lo);
-            }
-            if iv.hi > domain.lo && iv.hi < domain.hi {
-                cuts.insert(iv.hi);
-            }
-        }
-    }
-    cuts
+    /// The new regions holding a seed point, ascending and deduplicated —
+    /// the columns to prioritize in a warm-started LP.
+    pub warm_columns: Vec<usize>,
 }
 
 impl RegionPartitioner {
-    /// Partitions the added constraints *incrementally* against a previous
-    /// partition of the same relation (see the module docs for what is
-    /// reused at each level).  `prev_support` lists the previous regions
-    /// worth carrying forward — typically the indices whose solved tuple
-    /// count is nonzero.  The resulting partition is bit-identical to what
-    /// [`RegionPartitioner::partition`] would produce from scratch.
-    pub fn refine(
-        self,
-        prev: &RegionPartition,
-        prev_support: &[usize],
-    ) -> PartitionResult<PartitionRefinement> {
-        let (space, constraints, max_regions) = self.parts();
-
-        // Level 1: identical space and boxes — a pure re-annotation delta.
-        // The previous partition *is* the new partition (signatures are per
-        // constraint index, and the indices line up because the boxes do).
-        if space == *prev.space() && constraints == prev.constraint_unions() {
-            let carried: Vec<(usize, usize)> = prev_support
-                .iter()
-                .filter(|&&r| r < prev.num_variables())
-                .map(|&r| (r, r))
-                .collect();
-            let reused_regions = carried.len();
-            return Ok(PartitionRefinement {
-                partition: prev.clone(),
-                carried,
-                reused_regions,
-                changed_axes: Vec::new(),
-                full_reuse: true,
-            });
-        }
-
-        // Which axes actually gained or lost predicate boundaries?
-        let changed_axes: Vec<usize> = if space == *prev.space() {
-            (0..space.dims())
-                .filter(|&axis| {
-                    axis_cuts(&space, &constraints, axis)
-                        != axis_cuts(&space, prev.constraint_unions(), axis)
-                })
-                .collect()
-        } else {
-            (0..space.dims()).collect()
-        };
-
-        // Level 2: sweep the new constraint set once, then carry the
-        // previous *support* forward — each supported old region's
-        // representative point is located in the new partition (linear in
-        // the support size, not in the region count).
-        let mut partitioner = RegionPartitioner::new(space).with_max_regions(max_regions);
-        for boxes in constraints {
-            partitioner = partitioner.add_constraint_union(boxes);
-        }
-        let partition = partitioner.partition()?;
-        let mut carried = Vec::with_capacity(prev_support.len());
-        let mut reused_regions = 0usize;
-        for &old in prev_support {
-            let Some(region) = prev.regions().get(old) else {
-                continue;
-            };
-            let point = region.representative_point();
-            if let Some(new) = partition.region_containing(&point) {
-                if partition.regions()[new].volume == region.volume {
-                    reused_regions += 1;
-                }
-                carried.push((old, new));
-            }
-        }
+    /// Partitions the added constraints and maps a previous solve's
+    /// [`WarmSeed`] into the result.  The partition is bit-identical to what
+    /// [`RegionPartitioner::partition`] produces; seed points outside the
+    /// new space (or of another dimensionality) map nowhere.
+    pub fn refine(self, seed: &WarmSeed) -> PartitionResult<PartitionRefinement> {
+        let partition = self.partition()?;
+        let warm_columns: BTreeSet<usize> = seed
+            .points
+            .iter()
+            .filter_map(|point| partition.region_containing(point))
+            .collect();
         Ok(PartitionRefinement {
             partition,
-            carried,
-            reused_regions,
-            changed_axes,
-            full_reuse: false,
+            warm_columns: warm_columns.into_iter().collect(),
         })
     }
-}
-
-/// Guard against misuse: refinement only makes sense against a previous
-/// partition of the same dimensionality (callers catch this as a stale
-/// baseline and fall back to a cold partition + solve).
-pub fn check_refinable(prev: &RegionPartition, dims: usize) -> PartitionResult<()> {
-    if prev.space().dims() != dims {
-        return Err(PartitionError::DimensionMismatch {
-            expected: dims,
-            got: prev.space().dims(),
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::interval::Interval;
+    use crate::nbox::NBox;
     use crate::space::AttributeSpace;
+    use crate::PartitionError;
 
     fn space_1d() -> AttributeSpace {
         AttributeSpace::new(vec![("a".to_string(), Interval::new(0, 100))])
@@ -205,31 +96,62 @@ mod tests {
         ])
     }
 
-    #[test]
-    fn identical_boxes_reuse_the_partition_outright() {
-        let prev = RegionPartitioner::new(space_1d())
-            .add_constraint_box(NBox::new(vec![Interval::new(20, 60)]))
-            .add_constraint_box(NBox::new(vec![Interval::new(40, 80)]))
-            .partition()
-            .unwrap();
-        let support: Vec<usize> = (0..prev.num_variables()).collect();
-        let refinement = RegionPartitioner::new(space_1d())
-            .add_constraint_box(NBox::new(vec![Interval::new(20, 60)]))
-            .add_constraint_box(NBox::new(vec![Interval::new(40, 80)]))
-            .refine(&prev, &support)
-            .unwrap();
-        assert!(refinement.full_reuse);
-        assert_eq!(refinement.partition, prev);
-        assert!(refinement.changed_axes.is_empty());
-        assert_eq!(refinement.reused_regions, prev.num_variables());
-        // Carried values are the identity here.
-        let counts: Vec<u64> = (0..prev.num_variables() as u64).collect();
-        assert_eq!(refinement.carry_values(&counts), counts);
-        assert_eq!(refinement.warm_columns(), support);
+    /// A seed supporting the regions at `support` (count 1 each).
+    fn seed_of(partition: &RegionPartition, support: &[usize]) -> WarmSeed {
+        let mut counts = vec![0u64; partition.num_variables()];
+        for &r in support {
+            counts[r] = 1;
+        }
+        WarmSeed::from_solution(partition, &counts)
     }
 
     #[test]
-    fn only_the_touched_axis_is_reported_changed() {
+    fn seed_holds_only_the_supported_points() {
+        let prev = RegionPartitioner::new(space_2d())
+            .add_constraint_box(space_2d().box_from_intervals(vec![("a", Interval::new(20, 60))]))
+            .partition()
+            .unwrap();
+        let inside = prev
+            .regions()
+            .iter()
+            .position(|r| r.signature.contains(0))
+            .unwrap();
+        let seed = seed_of(&prev, &[inside]);
+        assert_eq!(seed.dims, 2);
+        assert_eq!(
+            seed.points,
+            vec![prev.regions()[inside].representative_point()]
+        );
+        let json = serde_json::to_string(&seed).unwrap();
+        assert_eq!(serde_json::from_str::<WarmSeed>(&json).unwrap(), seed);
+    }
+
+    #[test]
+    fn unchanged_boxes_warm_exactly_the_previous_support() {
+        let c_a = |lo, hi| space_2d().box_from_intervals(vec![("a", Interval::new(lo, hi))]);
+        let c_b = |lo, hi| space_2d().box_from_intervals(vec![("b", Interval::new(lo, hi))]);
+        let partitioner = || {
+            RegionPartitioner::new(space_2d())
+                .add_constraint_box(c_a(20, 60))
+                .add_constraint_box(c_a(40, 80))
+                .add_constraint_box(c_b(10, 30))
+        };
+        let prev = partitioner().partition().unwrap();
+        let all: Vec<usize> = (0..prev.num_variables()).collect();
+        for support in [
+            all.clone(),
+            vec![0, 2],
+            vec![prev.num_variables() - 1],
+            vec![],
+        ] {
+            let refinement = partitioner().refine(&seed_of(&prev, &support)).unwrap();
+            assert_eq!(refinement.partition, prev);
+            assert_eq!(refinement.warm_columns, support);
+        }
+    }
+
+    #[test]
+    fn refined_partition_equals_from_scratch() {
         let c_a = |lo, hi| space_2d().box_from_intervals(vec![("a", Interval::new(lo, hi))]);
         let c_b = |lo, hi| space_2d().box_from_intervals(vec![("b", Interval::new(lo, hi))]);
         let prev = RegionPartitioner::new(space_2d())
@@ -238,101 +160,86 @@ mod tests {
             .partition()
             .unwrap();
         let support: Vec<usize> = (0..prev.num_variables()).collect();
-        // A new predicate boundary on axis b only; axis a's cuts unchanged.
-        let refinement = RegionPartitioner::new(space_2d())
-            .add_constraint_box(c_a(20, 60))
-            .add_constraint_box(c_b(10, 30))
-            .add_constraint_box(c_b(50, 90))
-            .refine(&prev, &support)
-            .unwrap();
-        assert!(!refinement.full_reuse);
-        assert_eq!(refinement.changed_axes, vec![1]);
-        // The subspace untouched by the new boundary carries over: regions
-        // away from b∈[50,90) keep their exact geometry.
-        assert!(refinement.reused_regions >= 2, "{refinement:?}");
-        // Every supported old region lands somewhere in the new partition
-        // (the space did not shrink).
-        assert_eq!(refinement.carried.len(), support.len());
-        // The refined partition equals a from-scratch partition.
-        let scratch = RegionPartitioner::new(space_2d())
-            .add_constraint_box(c_a(20, 60))
-            .add_constraint_box(c_b(10, 30))
-            .add_constraint_box(c_b(50, 90))
-            .partition()
-            .unwrap();
-        assert_eq!(refinement.partition, scratch);
+        // A new predicate boundary on axis b.
+        let grown = || {
+            RegionPartitioner::new(space_2d())
+                .add_constraint_box(c_a(20, 60))
+                .add_constraint_box(c_b(10, 30))
+                .add_constraint_box(c_b(50, 90))
+        };
+        let refinement = grown().refine(&seed_of(&prev, &support)).unwrap();
+        assert_eq!(refinement.partition, grown().partition().unwrap());
+        // Every old region's point lands somewhere (the space did not
+        // shrink), and the warm columns are exactly where they land.
+        let expected: BTreeSet<usize> = prev
+            .regions()
+            .iter()
+            .map(|r| {
+                refinement
+                    .partition
+                    .region_containing(&r.representative_point())
+                    .expect("the point lies in the unchanged space")
+            })
+            .collect();
+        assert_eq!(
+            refinement.warm_columns,
+            expected.into_iter().collect::<Vec<_>>()
+        );
     }
 
     #[test]
-    fn carried_support_feeds_warm_columns() {
+    fn seed_points_land_in_the_matching_new_regions() {
         let prev = RegionPartitioner::new(space_1d())
             .add_constraint_box(NBox::new(vec![Interval::new(20, 60)]))
             .partition()
             .unwrap();
-        // prev has 2 regions: outside {}, inside {0}. Give the inside
-        // support and refine with an extra disjoint constraint.
+        // prev has 2 regions: outside {}, inside {0}.  Support only the
+        // inside and refine with an extra disjoint constraint.
         let inside = prev
             .regions()
             .iter()
             .position(|r| r.signature.contains(0))
             .unwrap();
-        let mut counts = vec![0u64; prev.num_variables()];
-        counts[inside] = 500;
         let refinement = RegionPartitioner::new(space_1d())
             .add_constraint_box(NBox::new(vec![Interval::new(20, 60)]))
             .add_constraint_box(NBox::new(vec![Interval::new(80, 90)]))
-            .refine(&prev, &[inside])
+            .refine(&seed_of(&prev, &[inside]))
             .unwrap();
-        // The supported [20,60) region carries its 500 into the matching
-        // new region; nothing else is mapped.
-        let carried = refinement.carry_values(&counts);
-        assert_eq!(carried.iter().sum::<u64>(), 500);
-        let warm = refinement.warm_columns();
-        assert_eq!(warm.len(), 1);
         let new_inside = refinement
             .partition
             .regions()
             .iter()
             .position(|r| r.signature.contains(0))
             .unwrap();
-        assert_eq!(warm, vec![new_inside]);
-        assert_eq!(carried[new_inside], 500);
+        assert_eq!(refinement.warm_columns, vec![new_inside]);
     }
 
     #[test]
-    fn domain_change_drops_unmappable_support() {
+    fn points_outside_the_new_space_map_nowhere() {
         let prev = RegionPartitioner::new(space_1d())
             .add_constraint_box(NBox::new(vec![Interval::new(20, 60)]))
             .partition()
             .unwrap();
-        // A *narrower* new space: the old outside region's representative
-        // (a = 0) no longer exists, so its support cannot carry.
+        let support: Vec<usize> = (0..prev.num_variables()).collect();
+        // A *narrower* new space: the outside region's representative
+        // (a = 0) no longer exists, the inside one (a = 20) still does.
         let narrow = AttributeSpace::new(vec![("a".to_string(), Interval::new(15, 70))]);
-        let outside = prev
-            .regions()
-            .iter()
-            .position(|r| r.signature.is_empty())
+        let refinement = RegionPartitioner::new(narrow)
+            .add_constraint_box(NBox::new(vec![Interval::new(20, 60)]))
+            .refine(&seed_of(&prev, &support))
             .unwrap();
-        let inside = prev
+        let new_inside = refinement
+            .partition
             .regions()
             .iter()
             .position(|r| r.signature.contains(0))
             .unwrap();
-        let refinement = RegionPartitioner::new(narrow)
-            .add_constraint_box(NBox::new(vec![Interval::new(20, 60)]))
-            .refine(&prev, &[outside, inside])
+        assert_eq!(refinement.warm_columns, vec![new_inside]);
+        // A seed of another dimensionality maps nothing.
+        let refinement = RegionPartitioner::new(space_2d())
+            .refine(&seed_of(&prev, &support))
             .unwrap();
-        assert!(!refinement.full_reuse);
-        assert_eq!(refinement.changed_axes, vec![0]);
-        // Only the inside region (representative a = 20) maps.
-        assert_eq!(refinement.carried.len(), 1);
-        assert_eq!(refinement.carried[0].0, inside);
-        // Out-of-range support indices are ignored, not a panic.
-        let refinement = RegionPartitioner::new(space_1d())
-            .add_constraint_box(NBox::new(vec![Interval::new(20, 60)]))
-            .refine(&prev, &[99])
-            .unwrap();
-        assert!(refinement.carried.is_empty() || refinement.full_reuse);
+        assert!(refinement.warm_columns.is_empty());
     }
 
     #[test]
@@ -349,15 +256,8 @@ mod tests {
                 partitioner.add_constraint_box(NBox::new(vec![Interval::new(i * 10, i * 10 + 5)]));
         }
         assert!(matches!(
-            partitioner.refine(&prev, &[0]),
+            partitioner.refine(&seed_of(&prev, &[0])),
             Err(PartitionError::TooManyRegions { .. })
         ));
-    }
-
-    #[test]
-    fn refinable_check_catches_dimension_drift() {
-        let prev = RegionPartitioner::new(space_1d()).partition().unwrap();
-        assert!(check_refinable(&prev, 1).is_ok());
-        assert!(check_refinable(&prev, 2).is_err());
     }
 }

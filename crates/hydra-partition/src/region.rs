@@ -141,13 +141,6 @@ impl RegionPartition {
         self.constraints.len()
     }
 
-    /// The constraint box unions this partition was built against, in the
-    /// order the signatures index them (used by incremental refinement to
-    /// detect unchanged boxes and moved predicate boundaries).
-    pub fn constraint_unions(&self) -> &[Vec<NBox>] {
-        &self.constraints
-    }
-
     /// Indices of the regions covered by the given constraint.
     pub fn regions_in_constraint(&self, constraint: usize) -> Vec<usize> {
         self.regions
@@ -178,7 +171,13 @@ impl RegionPartition {
                 signature.insert(ci);
             }
         }
-        self.regions.iter().position(|r| r.signature == signature)
+        // `partition()` emits regions in signature order, so a binary search
+        // finds the match; cells from `from_elementary_cells` are unordered
+        // and fall back to a scan.
+        self.regions
+            .binary_search_by(|r| r.signature.cmp(&signature))
+            .ok()
+            .or_else(|| self.regions.iter().position(|r| r.signature == signature))
     }
 
     /// Total volume across all regions (equals the space volume; saturating
@@ -289,13 +288,6 @@ impl RegionPartitioner {
     /// Number of constraints added so far.
     pub fn num_constraints(&self) -> usize {
         self.constraints.len()
-    }
-
-    /// Deconstructs the partitioner into its space, constraint unions and
-    /// region budget (used by [`RegionPartitioner::refine`], which needs to
-    /// compare them against a previous partition before sweeping).
-    pub(crate) fn parts(self) -> (AttributeSpace, Vec<Vec<NBox>>, usize) {
-        (self.space, self.constraints, self.max_regions)
     }
 
     /// Runs the partitioning.
@@ -591,6 +583,23 @@ mod tests {
         assert!(p.regions()[outside].signature.is_empty());
         assert!(p.region_containing(&[1000]).is_none());
         assert!(p.region_containing(&[1, 2]).is_none());
+
+        // Elementary cells keep their given, unsorted order; the lookup
+        // still finds a cell of the point's signature.
+        let cells = vec![
+            NBox::new(vec![Interval::new(20, 60)]),
+            NBox::new(vec![Interval::new(0, 20)]),
+            NBox::new(vec![Interval::new(60, 100)]),
+        ];
+        let grid = RegionPartition::from_elementary_cells(
+            space_1d(),
+            vec![vec![NBox::new(vec![Interval::new(20, 60)])]],
+            cells,
+        )
+        .unwrap();
+        assert_eq!(grid.region_containing(&[30]), Some(0));
+        let outside = grid.region_containing(&[70]).unwrap();
+        assert!(grid.regions()[outside].signature.is_empty());
     }
 
     #[test]

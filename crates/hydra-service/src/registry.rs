@@ -23,12 +23,14 @@
 //!   historical versions do not survive a restart.
 //!
 //! * **WAL + snapshots** ([`SummaryRegistry::durable`]): every publish and
-//!   delta append the operation *and the full solved state* to an
-//!   fsync'd write-ahead log **before** the version becomes visible, and
-//!   periodic checkpoints serialize all retained versions into an
-//!   immutable, checksummed snapshot file (truncating the WAL).  Boot is
-//!   snapshot-load + WAL-replay — **zero cold LP solves**, full version
-//!   chains intact, torn WAL tails truncated in place.
+//!   delta append the operation *and the solved state* (package, build
+//!   report, per-relation summaries and warm seeds) to an fsync'd
+//!   write-ahead log **before** the version becomes visible, and periodic
+//!   checkpoints serialize all retained versions into an immutable,
+//!   checksummed snapshot file (truncating the WAL).  Boot is a snapshot
+//!   load plus WAL replay — **zero cold LP solves**, full version chains
+//!   intact, torn WAL tails truncated in place.  A record or snapshot whose
+//!   checksum verifies but whose content does not decode fails the boot.
 
 use crate::error::{ServiceError, ServiceResult};
 use crate::protocol::{
@@ -62,11 +64,12 @@ pub struct StoredSummary {
     pub package: TransferPackage,
 }
 
-/// The complete solved state of one version: the package it was solved
-/// from, the build report describing how, and the per-relation baseline
-/// (partitions, region counts, LP supports).  This is what the WAL and
-/// snapshot files carry — enough to rebuild a servable entry with **zero**
-/// LP solves via [`Hydra::restore_stateful`].
+/// The solved state of one version: the package it was solved from, the
+/// build report describing how, and the per-relation baseline (constraint
+/// signatures, summaries, warm seeds).  This is what the WAL and snapshot
+/// files carry — enough to rebuild a servable entry with **zero** LP solves
+/// via [`Hydra::restore_stateful`], and to warm-start the next delta.  The
+/// region partitions are not stored: a delta re-partitions anyway.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SolvedState {
     /// The (merged) transfer package.
@@ -90,7 +93,7 @@ pub enum WalOp {
     },
 }
 
-/// One write-ahead log record: the operation plus the full resulting solved
+/// One write-ahead log record: the operation plus the resulting solved
 /// state, appended (and fsync'd) before the version becomes visible.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WalRecord {
@@ -100,7 +103,7 @@ pub struct WalRecord {
     pub version: u32,
     /// What produced it.
     pub op: WalOp,
-    /// The full solved state of the committed version.
+    /// The solved state of the committed version.
     pub solved: SolvedState,
 }
 
@@ -134,8 +137,8 @@ pub struct RecoveryReport {
 /// One published, solved summary.
 ///
 /// Entries are solved *statefully*: alongside the summary they retain the
-/// per-relation solve artifacts (constraint signatures, partitions, LP
-/// supports) that make [`SummaryRegistry::delta_publish`] incremental.
+/// per-relation solve artifacts (constraint signatures, warm seeds) that
+/// make [`SummaryRegistry::delta_publish`] incremental.
 #[derive(Debug)]
 pub struct RegistryEntry {
     /// Registry name.
@@ -194,7 +197,7 @@ impl RegistryEntry {
         })
     }
 
-    /// The full solved state of this entry, as the WAL and snapshots log it.
+    /// The solved state of this entry, as the WAL and snapshots log it.
     fn solved_state(&self) -> SolvedState {
         SolvedState {
             package: self.state.package.clone(),
@@ -314,6 +317,27 @@ fn sweep_tmp_files(dir: &Path) {
     }
 }
 
+/// Decodes one JSON payload read back from the WAL or a snapshot.
+fn decode<T: serde::Deserialize>(payload: &[u8]) -> Result<T, String> {
+    let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
+    serde_json::from_str(text).map_err(|e| e.to_string())
+}
+
+/// The boot error for a WAL record or snapshot whose checksum verifies but
+/// whose content does not decode or restore.  That is a format mismatch —
+/// the directory was written by an incompatible build — not a torn write,
+/// so boot fails rather than silently dropping acknowledged versions.
+fn format_mismatch(what: String, error: impl std::fmt::Display) -> ServiceError {
+    ServiceError::Io(std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!(
+            "{what} passes its checksum but cannot be recovered ({error}); the directory \
+             was written by an incompatible version: re-publish its summaries into a \
+             fresh directory"
+        ),
+    ))
+}
+
 /// Snapshot file name for sequence `seq`.
 fn snapshot_name(seq: u64) -> String {
     format!("snapshot-{seq:010}.snap")
@@ -429,6 +453,11 @@ impl SummaryRegistry {
     /// LP solves** — truncating any torn WAL tail in place.  Every publish
     /// and delta is appended (and fsync'd) to the WAL *before* its version
     /// becomes visible, so an acknowledged version survives any crash.
+    ///
+    /// A WAL record or snapshot whose checksum verifies but which does not
+    /// decode or restore is an error, not a skip: it means the directory was
+    /// written by an incompatible build, and dropping it would silently lose
+    /// acknowledged versions.
     pub fn durable(
         session: Hydra,
         dir: impl Into<PathBuf>,
@@ -442,23 +471,17 @@ impl SummaryRegistry {
         let entries: RwLock<BTreeMap<String, BTreeMap<u32, Arc<RegistryEntry>>>> =
             RwLock::new(BTreeMap::new());
 
-        // 1. Newest valid snapshot (older ones are the fallback chain).
+        // 1. Newest snapshot whose checksum verifies (older ones are the
+        //    fallback chain).
         let mut snaps = snapshot_paths(&dir)?;
         let next_snapshot_seq = snaps.last().map_or(0, |(seq, _)| seq + 1);
         snaps.reverse();
         let mut snapshot: SnapshotFile = SnapshotFile::default();
         for (_, path) in &snaps {
-            let loaded = hydra_wal::read_snapshot(path).and_then(|payload| {
-                let text = String::from_utf8(payload).map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                })?;
-                serde_json::from_str::<SnapshotFile>(&text).map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                })
-            });
-            match loaded {
-                Ok(file) => {
-                    snapshot = file;
+            match hydra_wal::read_snapshot(path) {
+                Ok(payload) => {
+                    snapshot = decode(&payload)
+                        .map_err(|e| format_mismatch(format!("snapshot {}", path.display()), e))?;
                     break;
                 }
                 Err(e) => {
@@ -473,26 +496,19 @@ impl SummaryRegistry {
         {
             let mut map = entries.write().expect("registry lock poisoned");
             for stored in snapshot.entries {
-                match RegistryEntry::restore(&session, &stored.name, stored.version, stored.solved)
-                {
-                    Ok(entry) => {
-                        map.entry(entry.name.clone())
-                            .or_default()
-                            .insert(entry.version, Arc::new(entry));
-                        recovery.snapshot_versions += 1;
-                        metrics
-                            .counter_labeled(
-                                "hydra_wal_recovered_records_total",
-                                "source",
-                                "snapshot",
-                            )
-                            .inc();
-                    }
-                    Err(e) => eprintln!(
-                        "hydra-service: skipping snapshot entry {}@{}: {e}",
-                        stored.name, stored.version
-                    ),
-                }
+                let entry =
+                    RegistryEntry::restore(&session, &stored.name, stored.version, stored.solved)
+                        .map_err(|e| {
+                        let what = format!("snapshot entry {}@{}", stored.name, stored.version);
+                        format_mismatch(what, e)
+                    })?;
+                map.entry(entry.name.clone())
+                    .or_default()
+                    .insert(entry.version, Arc::new(entry));
+                recovery.snapshot_versions += 1;
+                metrics
+                    .counter_labeled("hydra_wal_recovered_records_total", "source", "snapshot")
+                    .inc();
             }
         }
 
@@ -509,20 +525,10 @@ impl SummaryRegistry {
         }
         recovery.wal_truncated_bytes = replayed.truncated_bytes;
         let records_in_wal = replayed.records.len();
-        for payload in replayed.records {
-            let record = String::from_utf8(payload)
-                .map_err(|e| ServiceError::Protocol(e.to_string()))
-                .and_then(|text| {
-                    serde_json::from_str::<WalRecord>(&text)
-                        .map_err(|e| ServiceError::Protocol(format!("corrupt WAL record: {e}")))
-                });
-            let record = match record {
-                Ok(record) => record,
-                Err(e) => {
-                    eprintln!("hydra-service: skipping WAL record: {e}");
-                    continue;
-                }
-            };
+        for (index, payload) in replayed.records.into_iter().enumerate() {
+            let record: WalRecord = decode(&payload).map_err(|e| {
+                format_mismatch(format!("record {index} of {}", wal_path.display()), e)
+            })?;
             let already = {
                 let map = entries.read().expect("registry lock poisoned");
                 map.get(&record.name)
@@ -531,24 +537,22 @@ impl SummaryRegistry {
             if already {
                 continue; // the snapshot already covers this record
             }
-            match RegistryEntry::restore(&session, &record.name, record.version, record.solved) {
-                Ok(entry) => {
-                    entries
-                        .write()
-                        .expect("registry lock poisoned")
-                        .entry(entry.name.clone())
-                        .or_default()
-                        .insert(entry.version, Arc::new(entry));
-                    recovery.wal_versions += 1;
-                    metrics
-                        .counter_labeled("hydra_wal_recovered_records_total", "source", "wal")
-                        .inc();
-                }
-                Err(e) => eprintln!(
-                    "hydra-service: skipping WAL record {}@{}: {e}",
-                    record.name, record.version
-                ),
-            }
+            let entry =
+                RegistryEntry::restore(&session, &record.name, record.version, record.solved)
+                    .map_err(|e| {
+                        let what = format!("WAL record {}@{}", record.name, record.version);
+                        format_mismatch(what, e)
+                    })?;
+            entries
+                .write()
+                .expect("registry lock poisoned")
+                .entry(entry.name.clone())
+                .or_default()
+                .insert(entry.version, Arc::new(entry));
+            recovery.wal_versions += 1;
+            metrics
+                .counter_labeled("hydra_wal_recovered_records_total", "source", "wal")
+                .inc();
         }
 
         let wal = hydra_wal::Wal::open(&wal_path)?;

@@ -8,6 +8,7 @@ use hydra_query::delta::WorkloadDelta;
 use hydra_query::predicate::{ColumnPredicate, CompareOp, TablePredicate};
 use hydra_query::query::SpjQuery;
 use hydra_service::registry::SummaryRegistry;
+use hydra_summary::delta::DeltaAction;
 use hydra_workload::{harvest_workload, retail_client_fixture};
 use std::path::PathBuf;
 
@@ -279,4 +280,134 @@ fn persist_failure_keeps_the_entry_servable() {
     let served = registry.get("retail").expect("still servable");
     assert_eq!(served.version, 2);
     let _ = std::fs::remove_file(&dir);
+}
+
+/// A WAL record carries the package, the build report and per-relation
+/// summaries and warm seeds — not the region partitions — so one durable
+/// publish appends a small multiple of its package JSON.
+#[test]
+fn durable_publish_appends_a_small_multiple_of_the_package() {
+    let dir = temp_dir("record-size");
+    let session = session();
+    let registry = SummaryRegistry::durable(session.clone(), &dir, 1000).expect("open");
+    let (db, queries) = retail_client_fixture(2_000, 700, 30);
+    let package = session.profile(db, &queries).expect("profile");
+    let package_bytes = package.to_json().expect("package json").len() as u64;
+    registry.publish("retail", package).expect("publish");
+    let wal_bytes = session.metrics().counter("hydra_wal_bytes_total").value();
+    assert!(
+        wal_bytes <= 4 * package_bytes,
+        "a publish appended {wal_bytes} WAL bytes for a {package_bytes}-byte package"
+    );
+}
+
+/// A record whose checksum verifies but whose content does not decode is a
+/// format mismatch, not a torn tail: boot fails instead of dropping it.
+/// The same holds for a checksummed snapshot that does not decode.
+#[test]
+fn checksummed_but_undecodable_records_fail_the_boot() {
+    let dir = temp_dir("mismatch");
+    {
+        let session = session();
+        let registry = SummaryRegistry::durable(session.clone(), &dir, 1000).expect("open");
+        let (db, queries) = retail_client_fixture(400, 150, 4);
+        let package = session.profile(db, &queries).expect("profile");
+        registry.publish("retail", package).expect("publish");
+    }
+    // Frame a record by hand: len (u32 LE) | crc32 (u32 LE) | payload.
+    let payload = br#"{"name":"retail","version":2,"op":"Publish","solved":{}}"#;
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&hydra_wal::crc32(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    let wal = dir.join("wal.log");
+    let intact = std::fs::read(&wal).expect("read wal");
+    let mut bytes = intact.clone();
+    bytes.extend_from_slice(&frame);
+    std::fs::write(&wal, &bytes).expect("append garbage record");
+
+    let err = SummaryRegistry::durable(session(), &dir, 1000).expect_err("boot must fail");
+    let message = err.to_string();
+    assert!(message.contains("record 1"), "{message}");
+    assert!(message.contains("re-publish"), "{message}");
+    assert_eq!(
+        std::fs::read(&wal).expect("reread wal"),
+        bytes,
+        "a failed boot must leave the WAL as it found it"
+    );
+
+    // A checksummed snapshot that does not decode fails the boot too.
+    std::fs::write(&wal, &intact).expect("restore wal");
+    hydra_wal::write_snapshot(&dir.join("snapshot-0000000000.snap"), b"{\"entries\":7}")
+        .expect("write snapshot");
+    let err = SummaryRegistry::durable(session(), &dir, 1000).expect_err("boot must fail");
+    assert!(err.to_string().contains("snapshot"), "{err}");
+}
+
+/// The warm seed survives a restart: a delta applied after recovering from
+/// the WAL behaves exactly like the same delta on a registry that never
+/// restarted — same description, same diff, same per-relation actions and
+/// bit-identical summaries.  The second delta revises `web_sales`'s row
+/// count, keeping its boxes, so the recovered seed maps onto the previous
+/// support and the re-solve is warm.
+#[test]
+fn warm_seed_survives_a_restart() {
+    let (db, queries) = retail_client_fixture(400, 150, 4);
+    let package = session().profile(db.clone(), &queries).expect("profile");
+    let deltas = [
+        narrow_delta(&db, "drift-a", 40),
+        WorkloadDelta::new().with_row_count("web_sales", 300),
+    ];
+    // Everything a delta publish reports, minus wall-clock times.
+    let outcome = |registry: &SummaryRegistry, delta: &WorkloadDelta| {
+        let published = registry.delta_publish("retail", delta).expect("delta");
+        let actions: Vec<(String, DeltaAction, usize)> = published
+            .report
+            .relations
+            .iter()
+            .map(|r| (r.table.clone(), r.action, r.lp_variables))
+            .collect();
+        let summary = serde_json::to_string(
+            &registry
+                .get("retail")
+                .expect("entry")
+                .regeneration()
+                .summary,
+        )
+        .expect("encode summary");
+        (published.info, published.diff, actions, summary)
+    };
+
+    let dir = temp_dir("warm-restart");
+    let first_restarted = {
+        let registry = SummaryRegistry::durable(session(), &dir, 1000).expect("open");
+        registry
+            .publish("retail", package.clone())
+            .expect("publish");
+        outcome(&registry, &deltas[0])
+    };
+    let session1 = session();
+    let registry = SummaryRegistry::durable(session1.clone(), &dir, 1000).expect("reopen");
+    assert_eq!(
+        lp_solves(&session1),
+        0,
+        "recovery must not run the LP solver"
+    );
+    let second_restarted = outcome(&registry, &deltas[1]);
+
+    let never = SummaryRegistry::in_memory(session());
+    never.publish("retail", package).expect("publish");
+    let first = outcome(&never, &deltas[0]);
+    let second = outcome(&never, &deltas[1]);
+
+    assert_eq!(first_restarted, first);
+    assert_eq!(second_restarted, second);
+    assert!(
+        second
+            .2
+            .iter()
+            .any(|(_, action, _)| *action == DeltaAction::WarmSolved),
+        "the post-restart delta must warm-start from the recovered seed: {:?}",
+        second.2
+    );
 }

@@ -17,6 +17,7 @@ use crate::summary::RelationSummary;
 use hydra_catalog::schema::Table;
 use hydra_lp::solver::LpSolver;
 use hydra_partition::grid::GridPartition;
+use hydra_partition::refine::WarmSeed;
 use hydra_partition::region::{RegionPartition, RegionPartitioner};
 use hydra_query::aqp::VolumetricConstraint;
 use std::collections::BTreeMap;
@@ -40,10 +41,10 @@ pub struct SolveRequest<'a> {
     /// Whether other relations reference this one (request an interior
     /// solution so FK projections keep distinguishing blocks).
     pub referenced: bool,
-    /// The relation's previous solve, when this is a delta re-profile: a
-    /// warm-start hint for partitioning and the LP.  Backends are free to
+    /// The warm seed of the relation's previous solve, when this is a delta
+    /// re-profile: a warm-start hint for the LP.  Backends are free to
     /// ignore it; honoring it must not change which problems are solvable.
-    pub warm: Option<&'a SolvedRelation>,
+    pub warm: Option<&'a WarmSeed>,
 }
 
 /// A strategy for turning one relation's constraints into an integral tuple

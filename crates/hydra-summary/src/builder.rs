@@ -43,6 +43,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::align::AlignmentStrategy;
+use hydra_partition::refine::WarmSeed;
 use hydra_partition::region::DEFAULT_MAX_REGIONS;
 
 /// Configuration of the summary builder.
@@ -520,8 +521,8 @@ impl SummaryBuilder {
     }
 
     /// [`SummaryBuilder::build`] that additionally *retains* every
-    /// relation's solve artifacts (constraint signature, region partition,
-    /// solved region counts) as a [`SolveBaseline`] — the seed for later
+    /// relation's solve artifacts (constraint signature, summary, warm
+    /// seed) as a [`SolveBaseline`] — the starting point for later
     /// [`SummaryBuilder::build_delta`] calls.
     pub fn build_retaining(
         &self,
@@ -538,8 +539,8 @@ impl SummaryBuilder {
     /// Rebuilds the summary *incrementally* against a previous baseline:
     /// relations whose constraint signature is unchanged are reused outright
     /// (bit-identical, no partitioning, no LP), and changed relations
-    /// re-solve with the previous partition refined in place and the
-    /// previous solution's support warm-starting the simplex.
+    /// re-solve with the previous solution's support, located in the new
+    /// partition through its warm seed, warm-starting the simplex.
     ///
     /// The result satisfies the new constraint set exactly as a from-scratch
     /// [`SummaryBuilder::build`] over it does (the `delta_differential`
@@ -700,7 +701,7 @@ impl SummaryBuilder {
                 stats.from_cache = true;
                 let baseline = RelationBaseline {
                     signature,
-                    solved: prev.solved.clone(),
+                    seed: prev.seed.clone(),
                     summary: prev.summary.clone(),
                     stats: stats.clone(),
                 };
@@ -717,7 +718,7 @@ impl SummaryBuilder {
             summaries,
             max_regions: self.config.max_regions,
             referenced: is_referenced,
-            warm: prev.map(|p| &p.solved),
+            warm: prev.map(|p| &p.seed),
         })?;
         let summary = self
             .config
@@ -738,7 +739,7 @@ impl SummaryBuilder {
         };
         let baseline = RelationBaseline {
             signature,
-            solved,
+            seed: WarmSeed::from_solution(&solved.partition, &solved.region_counts),
             summary: summary.clone(),
             stats: stats.clone(),
         };
@@ -1083,9 +1084,9 @@ mod tests {
         assert_eq!(built.report.cached_relations, 3);
 
         // A cardinality re-annotation on S only (same boxes, new demand):
-        // S re-solves (warm — the previous partition is reused outright and
-        // the old support closes phase 1), T is untouched, and R re-solves
-        // because its FK projection reads the changed S summary.
+        // S re-solves (warm — the boxes are unchanged, so the seed maps
+        // onto the old support, which closes phase 1), T is untouched, and
+        // R re-solves because its FK projection reads the changed S summary.
         let mut revised = constraints.clone();
         revised.get_mut("S").unwrap()[0].cardinality = 50;
         let built = builder

@@ -2,17 +2,18 @@
 //! and the incremental build report.
 //!
 //! A from-scratch build can *retain* its per-relation solve artifacts — the
-//! constraint signature, the region partition and the solved region counts —
-//! as a [`SolveBaseline`].  A later build against an evolved constraint set
-//! then goes relation by relation:
+//! constraint signature, the summary and a [`WarmSeed`] (the representative
+//! points of the regions that held tuples) — as a [`SolveBaseline`].  A
+//! later build against an evolved constraint set then goes relation by
+//! relation:
 //!
 //! * **unchanged signature** → the previous summary is reused outright (no
 //!   partitioning, no LP, bit-identical output);
-//! * **changed signature** → the relation re-solves, but the previous
-//!   partition seeds an incremental refinement and the previous solution's
-//!   support warm-starts the simplex ([`DeltaAction::WarmSolved`] when the
-//!   warm basis closed phase 1, [`DeltaAction::ColdSolved`] when the hint
-//!   was stale and the solver fell back).
+//! * **changed signature** → the relation re-partitions, the seed points
+//!   are located in the new partition, and those regions warm-start the
+//!   simplex ([`DeltaAction::WarmSolved`] when the warm basis closed
+//!   phase 1, [`DeltaAction::ColdSolved`] when the hint was stale and the
+//!   solver fell back).
 //!
 //! The structural outcome is summarized as a [`SummaryDiff`]: per relation,
 //! which primary-key blocks were added, removed or resized relative to the
@@ -20,8 +21,8 @@
 //! its consumers instead of a whole new summary.
 
 use crate::builder::RelationBuildStats;
-use crate::solve::SolvedRelation;
 use crate::summary::{DatabaseSummary, RelationSummary};
+use hydra_partition::refine::WarmSeed;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -31,9 +32,10 @@ pub struct RelationBaseline {
     /// Fingerprint of every input that determined the solve (constraints,
     /// row target, FK domains, dimension summaries, backend, strategy).
     pub signature: u64,
-    /// The solved placement (partition + region counts) — the warm-start
-    /// seed for a changed re-solve.
-    pub solved: SolvedRelation,
+    /// The representative points of the solve's nonzero regions — the
+    /// warm start of a changed re-solve.  The partition itself is not kept:
+    /// a re-solve sweeps the new constraint set anyway.
+    pub seed: WarmSeed,
     /// The summary generated from the solve.
     pub summary: RelationSummary,
     /// The build statistics reported for the solve.

@@ -15,7 +15,7 @@ use hydra_lp::problem::{ConstraintOp, LpProblem};
 use hydra_lp::rounding::largest_remainder_round;
 use hydra_lp::simplex::{WarmOutcome, WarmStart};
 use hydra_lp::solver::{LpSolver, SolveStatus};
-use hydra_partition::refine::check_refinable;
+use hydra_partition::refine::WarmSeed;
 use hydra_partition::region::{RegionPartition, RegionPartitioner};
 use hydra_query::aqp::VolumetricConstraint;
 use serde::{Deserialize, Serialize};
@@ -335,12 +335,10 @@ pub fn formulate_and_solve_with(
 }
 
 /// [`formulate_and_solve_with`] for delta re-profiling: when the relation
-/// was solved before, its previous partition and region counts seed both the
-/// partitioning (the previous partition is reused outright if the constraint
-/// boxes are unchanged; otherwise only the moved boundaries re-cut the
-/// space) and the LP (the previous solution's support warm-starts the
-/// simplex).  A stale or dimensionally incompatible previous solve is
-/// silently ignored — the build degrades to a cold partition + solve.
+/// was solved before, the [`WarmSeed`] of that solve (the representative
+/// points of its nonzero regions) is located in the new partition and those
+/// regions warm-start the simplex.  A seed of another dimensionality is
+/// ignored — the build degrades to a cold solve.
 #[allow(clippy::too_many_arguments)]
 pub fn formulate_and_solve_delta(
     table: &Table,
@@ -351,33 +349,19 @@ pub fn formulate_and_solve_delta(
     solver: &LpSolver,
     max_regions: usize,
     interior: bool,
-    previous: Option<&SolvedRelation>,
+    previous: Option<&WarmSeed>,
 ) -> SummaryResult<SolvedRelation> {
     let partition_start = Instant::now();
     let pre = boxed_constraints(table, axes, constraints, summaries)?;
 
-    // Partition the space against the constraint boxes — incrementally when
-    // a compatible previous partition is available.
     let mut partitioner = RegionPartitioner::new(axes.space.clone()).with_max_regions(max_regions);
     for (_, boxes) in &pre.boxed {
         partitioner = partitioner.add_constraint_union(boxes.clone());
     }
-    let usable_previous =
-        previous.filter(|prev| check_refinable(&prev.partition, axes.space.dims()).is_ok());
-    let (partition, warm_hint) = match usable_previous {
-        Some(prev) => {
-            // The previous solution's support (nonzero regions) is all the
-            // warm start needs; a basic solution keeps it small no matter
-            // how many regions the partition has.
-            let support: Vec<usize> = prev
-                .region_counts
-                .iter()
-                .enumerate()
-                .filter(|(_, count)| **count > 0)
-                .map(|(region, _)| region)
-                .collect();
-            let refinement = partitioner.refine(&prev.partition, &support)?;
-            let hint = WarmStart::new(refinement.warm_columns());
+    let (partition, warm_hint) = match previous.filter(|seed| seed.dims == axes.space.dims()) {
+        Some(seed) => {
+            let refinement = partitioner.refine(seed)?;
+            let hint = WarmStart::new(refinement.warm_columns);
             (refinement.partition, Some(hint))
         }
         None => (partitioner.partition()?, None),

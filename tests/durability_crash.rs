@@ -8,6 +8,8 @@
 //!   restart, bit-identical to its pre-kill description;
 //! * unacknowledged tails (a torn WAL record from a kill mid-append) are
 //!   discarded cleanly — recovery never fails, never serves a torn entry;
+//! * a record whose checksum verifies but whose content does not decode is
+//!   not a torn tail but a format mismatch, and the server refuses to boot;
 //! * recovery performs **zero cold LP solves**: the restarted server's
 //!   `hydra_lp_solves_total` counters are all zero before any new publish;
 //! * pinned historical versions (`name@version`) are served after the
@@ -332,4 +334,40 @@ fn kill9_restart_serves_historical_versions_over_both_protocols() {
     );
 
     server.kill9();
+}
+
+/// A WAL record whose checksum verifies but whose content does not decode
+/// (a directory written by an incompatible build) is a boot error: the
+/// server reports it and exits non-zero instead of serving without the
+/// versions the record holds.
+#[test]
+fn undecodable_wal_record_fails_the_boot() {
+    let dir = temp_dir("mismatch");
+    // One hand-framed record: len (u32 LE) | crc32 (u32 LE) | payload.
+    let payload = br#"{"name":"retail","version":1,"op":"Publish"}"#;
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&hydra_wal::crc32(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    std::fs::write(dir.join("wal.log"), &frame).expect("write wal");
+
+    let output = Command::new(env!("CARGO_BIN_EXE_hydra-serve"))
+        .args([
+            "--addr",
+            "127.0.0.1:0",
+            "--wal-dir",
+            dir.to_str().expect("utf-8 dir"),
+        ])
+        .output()
+        .expect("run hydra-serve");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "boot must fail: {stderr}");
+    assert!(
+        stderr.contains("cannot open WAL dir") && stderr.contains("re-publish"),
+        "{stderr}"
+    );
+    assert!(
+        !String::from_utf8_lossy(&output.stdout).contains("listening on"),
+        "the server must not come up"
+    );
 }
