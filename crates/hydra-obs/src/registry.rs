@@ -133,6 +133,14 @@ pub const FAMILIES: &[FamilyDesc] = &[
         help: "Tasks parked on write-queue backpressure (AwaitDrain)",
     },
     FamilyDesc {
+        name: "hydra_reactor_task_panics_total",
+        kind: MetricKind::Counter,
+        unit: Unit::Count,
+        label_key: "",
+        layer: "reactor",
+        help: "Task polls that panicked; the pool closed their connection and kept the worker",
+    },
+    FamilyDesc {
         name: "hydra_reactor_timer_cascades_total",
         kind: MetricKind::Counter,
         unit: Unit::Count,

@@ -42,6 +42,10 @@ use std::time::Duration;
 /// same cadence as the threaded baseline.
 const SCAN_PULSE_ROWS: u64 = StreamRequest::DEFAULT_BATCH_ROWS;
 
+/// Pulses per poll of an unthrottled scan (a throttled scan runs one, so
+/// its pacing stays exact).
+const UNTHROTTLED_PULSES: u64 = 8;
+
 /// The pgwire listener-level factory: one per pg listener, holding the
 /// shared registry (the `database` startup parameter selects an entry per
 /// connection).
@@ -289,7 +293,7 @@ impl ConnTask for PgQueryTask {
                         *offset,
                     ) {
                         Ok(()) => {
-                            conn.push(bytes);
+                            conn.push(&bytes);
                             self.next += 1;
                             return TaskPoll::Yield;
                         }
@@ -305,7 +309,7 @@ impl ConnTask for PgQueryTask {
             emit(&mut bytes, &BackendMessage::EmptyQueryResponse);
         }
         emit(&mut bytes, &BackendMessage::ReadyForQuery { status: b'I' });
-        conn.push(bytes);
+        conn.push(&bytes);
         TaskPoll::Done
     }
 }
@@ -318,7 +322,7 @@ impl PgQueryTask {
         let mut bytes = Vec::new();
         emit(&mut bytes, &e.to_message());
         emit(&mut bytes, &BackendMessage::ReadyForQuery { status: b'I' });
-        conn.push(bytes);
+        conn.push(&bytes);
         TaskPoll::Done
     }
 }
@@ -344,6 +348,8 @@ struct ScanState {
     column_types: Vec<DataType>,
     /// Cached `DataRow` encoding for the block under the cursor.
     template: DataRowTemplate,
+    /// One pulse's encoded `DataRow`s, reused (cleared) across pulses.
+    buf: Vec<u8>,
     /// The scan's tracing span, open for the life of the stream.
     span: Option<Span>,
     metrics: Arc<MetricsRegistry>,
@@ -388,7 +394,7 @@ impl ScanState {
             .collect();
         let mut bytes = Vec::new();
         emit(&mut bytes, &BackendMessage::RowDescription { fields });
-        conn.push(bytes);
+        conn.push(&bytes);
         let governor = match registry.session().velocity() {
             Some(rate) => VelocityGovernor::with_rate(rate),
             None => VelocityGovernor::unthrottled(),
@@ -406,6 +412,7 @@ impl ScanState {
             governor,
             column_types,
             template: DataRowTemplate::new(),
+            buf: Vec::new(),
             span: Some(span),
             metrics,
             datarow_bytes,
@@ -413,10 +420,12 @@ impl ScanState {
         }))
     }
 
-    /// One pulse: generate up to a rate-budgeted chunk of rows and push
+    /// One poll: generate up to a rate-budgeted chunk of rows and push
     /// them as `DataRow`s, then the `CommandComplete` once the relation is
     /// exhausted (after waiting out the final pacing deficit, like the
-    /// per-row governor of the blocking path).
+    /// per-row governor of the blocking path).  An unthrottled scan runs
+    /// several pulses per poll, stopping early once the write queue passes
+    /// high water.
     fn pump(&mut self, conn: &ConnHandle) -> ScanPoll {
         if conn.over_high_water() {
             return ScanPoll::Reactor(TaskPoll::AwaitDrain);
@@ -433,7 +442,7 @@ impl ScanState {
                     tag: format!("SELECT {}", self.governor.emitted()),
                 },
             );
-            conn.push(bytes);
+            conn.push(&bytes);
             self.metrics
                 .counter_labeled("hydra_datagen_rows_total", "table", &self.table)
                 .add(self.governor.emitted());
@@ -449,15 +458,34 @@ impl ScanState {
             return ScanPoll::Finished;
         }
         let goal = SCAN_PULSE_ROWS.min(remaining);
-        if let Some(budget) = self.governor.budget() {
-            if budget < goal {
+        let pulses = match self.governor.budget() {
+            Some(budget) if budget < goal => {
                 let wait = self
                     .governor
                     .delay_for(goal)
                     .unwrap_or(Duration::from_millis(1));
                 return ScanPoll::Reactor(TaskPoll::Sleep(wait));
             }
+            Some(_) => 1,
+            None => UNTHROTTLED_PULSES,
+        };
+        for _ in 0..pulses {
+            let goal = SCAN_PULSE_ROWS.min(self.end - self.cursor);
+            if goal == 0 {
+                break;
+            }
+            if let Err(failure) = self.pulse(conn, goal) {
+                return ScanPoll::Failed(failure);
+            }
+            if conn.over_high_water() {
+                break;
+            }
         }
+        ScanPoll::Reactor(TaskPoll::Yield)
+    }
+
+    /// Generates the next `goal` rows and pushes them as `DataRow`s.
+    fn pulse(&mut self, conn: &ConnHandle, goal: u64) -> Result<(), PgError> {
         let mut tuples = match self
             .generator
             .stream_range(&self.table, self.cursor..self.cursor + goal)
@@ -472,14 +500,14 @@ impl ScanState {
                 self.metrics
                     .counter_labeled("hydra_pg_errors_total", "sqlstate", failure.code())
                     .inc();
-                return ScanPoll::Failed(failure);
+                return Err(failure);
             }
         };
-        let mut bytes = Vec::new();
+        self.buf.clear();
         while let Some(block) = tuples.next_block(u64::MAX) {
             if DataRowTemplate::block_eligible(&block, &self.column_types) {
                 for pk in block.pk_range() {
-                    bytes.extend_from_slice(self.template.row_bytes(
+                    self.buf.extend_from_slice(self.template.row_bytes(
                         &block,
                         pk,
                         &self.column_types,
@@ -492,15 +520,15 @@ impl ScanState {
                         .enumerate()
                         .map(|(i, v)| pg_text(v, self.column_types.get(i)).map(String::into_bytes))
                         .collect();
-                    emit(&mut bytes, &BackendMessage::DataRow { values });
+                    emit(&mut self.buf, &BackendMessage::DataRow { values });
                 }
             }
         }
-        self.datarow_bytes.add(bytes.len() as u64);
+        self.datarow_bytes.add(self.buf.len() as u64);
         self.stream_rows.add(goal);
-        conn.push(bytes);
+        conn.push(&self.buf);
         self.cursor += goal;
         self.governor.note(goal);
-        ScanPoll::Reactor(TaskPoll::Yield)
+        Ok(())
     }
 }

@@ -1,12 +1,15 @@
-//! Per-connection shared state: the bounded write queue and the handle
-//! through which worker-pool tasks talk back to the event loop.
+//! Per-connection shared state: the socket, the bounded write queue and
+//! the handle through which worker-pool tasks talk back to the event loop.
 //!
 //! A [`ConnHandle`] is the *only* thing a [`ConnTask`](crate::ConnTask)
-//! sees of its connection.  Pushing bytes never blocks and never does I/O:
-//! bytes land in a mutex-guarded queue, a coalesced wake tells the reactor
-//! thread to flush, and the task decides what to do about a growing queue
-//! by consulting [`over_high_water`](ConnHandle::over_high_water) and
-//! returning [`TaskPoll::AwaitDrain`](crate::TaskPoll::AwaitDrain) — that
+//! sees of its connection.  Pushing bytes never blocks: when the write
+//! queue is empty the pushing thread writes straight to the non-blocking
+//! socket, and only the tail the kernel refused is copied into a
+//! mutex-guarded queue, with a coalesced wake telling the reactor thread
+//! to flush it once the socket reports writable.  The task decides what to
+//! do about a growing queue by consulting
+//! [`over_high_water`](ConnHandle::over_high_water) and returning
+//! [`TaskPoll::AwaitDrain`](crate::TaskPoll::AwaitDrain) — that
 //! cooperative parking is the whole backpressure story.
 
 use crate::wake::Waker;
@@ -14,9 +17,10 @@ use crate::ReactorMetrics;
 use hydra_obs::{Counter, Gauge};
 use std::collections::VecDeque;
 use std::io::{self, Write};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 #[derive(Debug, Default)]
 struct OutQueue {
@@ -30,12 +34,14 @@ struct OutQueue {
 pub(crate) enum FlushStatus {
     /// Queue fully written to the kernel.
     Drained,
-    /// Kernel buffer full; `wrote_any` says whether any progress was made
-    /// (progress resets the stall clock).
-    Pending { wrote_any: bool },
+    /// Kernel buffer full; the rest waits for the socket to turn writable.
+    Pending,
     /// The socket rejected the write; the connection is gone.
     Closed,
 }
+
+/// The socket rejected a write: the peer is gone.
+struct SocketClosed;
 
 /// The connection-level `hydra-obs` handles, resolved once per reactor
 /// and cloned per connection.
@@ -51,9 +57,17 @@ pub(crate) struct ConnObs {
 #[derive(Debug)]
 pub(crate) struct ConnShared {
     token: u64,
+    /// The connection's one socket: the reactor reads through it, and
+    /// whichever thread holds the queue lock writes through it.
+    stream: TcpStream,
     queue: Mutex<OutQueue>,
     /// Mirror of the queue's total unsent bytes, readable without the lock.
     queued: AtomicUsize,
+    /// The write-progress clock: nanoseconds after `epoch` at which a
+    /// write last made progress or the queue was last seen empty.  Both
+    /// writers (worker and reactor) advance it; the stall scan reads it.
+    progress: AtomicU64,
+    epoch: Instant,
     dead: AtomicBool,
     /// True while this connection sits on the reactor's dirty list.
     dirty: AtomicBool,
@@ -67,6 +81,7 @@ pub(crate) struct ConnShared {
 impl ConnShared {
     pub(crate) fn new(
         token: u64,
+        stream: TcpStream,
         high_water: usize,
         dirty_list: Arc<Mutex<Vec<u64>>>,
         waker: Waker,
@@ -75,8 +90,11 @@ impl ConnShared {
     ) -> Arc<ConnShared> {
         Arc::new(ConnShared {
             token,
+            stream,
             queue: Mutex::new(OutQueue::default()),
             queued: AtomicUsize::new(0),
+            progress: AtomicU64::new(0),
+            epoch: Instant::now(),
             dead: AtomicBool::new(false),
             dirty: AtomicBool::new(false),
             high_water,
@@ -91,6 +109,10 @@ impl ConnShared {
         self.token
     }
 
+    pub(crate) fn stream(&self) -> &TcpStream {
+        &self.stream
+    }
+
     pub(crate) fn queued_bytes(&self) -> usize {
         self.queued.load(Ordering::SeqCst)
     }
@@ -103,23 +125,77 @@ impl ConnShared {
         self.dead.load(Ordering::SeqCst)
     }
 
-    /// Appends bytes to the write queue.  `notify` wakes the reactor via
-    /// the dirty list (worker-thread path); the reactor itself enqueues
-    /// with `notify = false` and flushes inline.
-    pub(crate) fn enqueue(&self, bytes: Vec<u8>, notify: bool) {
+    /// Marks the connection dead and shuts the socket down in both
+    /// directions, so the peer sees the close even while a task still
+    /// holds a handle (and with it the fd).
+    pub(crate) fn close(&self) {
+        self.mark_dead();
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+
+    /// Advances the write-progress clock to now.
+    fn note_progress(&self) {
+        let nanos = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.progress.fetch_max(nanos, Ordering::SeqCst);
+    }
+
+    /// How long the write path has gone without progress as of `now`.
+    pub(crate) fn stalled_for(&self, now: Instant) -> Duration {
+        let last = Duration::from_nanos(self.progress.load(Ordering::SeqCst));
+        now.saturating_duration_since(self.epoch)
+            .saturating_sub(last)
+    }
+
+    /// Sends `bytes` in order behind anything already queued.  With an
+    /// empty queue the calling thread writes straight to the socket and
+    /// copies only the unsent tail into the queue; otherwise the bytes are
+    /// appended.  Every writer holds the queue lock, which is what keeps
+    /// the byte order.  `notify` wakes the reactor when a tail was queued
+    /// (worker-thread path); the reactor itself sends with
+    /// `notify = false` and flushes inline.
+    pub(crate) fn send(&self, bytes: &[u8], notify: bool) {
         if bytes.is_empty() || self.is_dead() {
             return; // dropped on the floor: the peer is gone
         }
-        let total = {
+        let (total, was_empty) = {
             let mut q = self.queue.lock().expect("write queue poisoned");
-            let total = self.queued.load(Ordering::SeqCst) + bytes.len();
-            q.chunks.push_back(bytes);
+            let was_empty = q.chunks.is_empty();
+            let mut sent = 0;
+            if was_empty {
+                self.note_progress();
+                match self.write_some(bytes) {
+                    Ok(n) => sent = n,
+                    Err(SocketClosed) => {
+                        drop(q);
+                        // The reactor notices the dead flag on its next
+                        // flush and tears the connection down.
+                        self.mark_dead();
+                        self.notify_reactor();
+                        return;
+                    }
+                }
+            }
+            if sent == bytes.len() {
+                return;
+            }
+            let total = self.queued.load(Ordering::SeqCst) + bytes.len() - sent;
+            q.chunks.push_back(bytes[sent..].to_vec());
             self.queued.store(total, Ordering::SeqCst);
-            total
+            (total, was_empty)
         };
         self.metrics.note_queued_bytes(total);
         self.obs.queue_peak.record_max(total as i64);
-        if notify && !self.dirty.swap(true, Ordering::SeqCst) {
+        // A queue that was already non-empty has a flush pending (dirty
+        // mark or EPOLLOUT interest), so only the first tail needs a wake.
+        if notify && was_empty {
+            self.notify_reactor();
+        }
+    }
+
+    /// Puts this connection on the reactor's dirty list (once) and wakes
+    /// the loop.
+    fn notify_reactor(&self) {
+        if !self.dirty.swap(true, Ordering::SeqCst) {
             self.dirty_list
                 .lock()
                 .expect("dirty list poisoned")
@@ -134,37 +210,54 @@ impl ConnShared {
         self.dirty.store(false, Ordering::SeqCst);
     }
 
+    /// The one socket-write loop, shared by [`send`](Self::send) and
+    /// [`flush`](Self::flush); callers hold the queue lock.  Writes as
+    /// much of `bytes` as the kernel takes without blocking and returns
+    /// how much that was.
+    fn write_some(&self, bytes: &[u8]) -> Result<usize, SocketClosed> {
+        let mut written = 0;
+        while written < bytes.len() {
+            match (&self.stream).write(&bytes[written..]) {
+                Ok(0) => return Err(SocketClosed),
+                Ok(n) => {
+                    written += n;
+                    self.obs.bytes_out.add(n as u64);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return Err(SocketClosed),
+            }
+        }
+        if written > 0 {
+            self.note_progress();
+        }
+        Ok(written)
+    }
+
     /// Writes as much queued data as the socket will take.  Runs on the
-    /// reactor thread only.  Holds the queue lock across the write calls:
-    /// a task pushing concurrently waits microseconds, and in exchange the
-    /// queue order is trivially correct.
-    pub(crate) fn flush(&self, stream: &mut TcpStream) -> FlushStatus {
+    /// reactor thread when the socket turns writable.  Holds the queue
+    /// lock across the write calls: a task pushing concurrently waits
+    /// microseconds, and in exchange the queue order is trivially correct.
+    pub(crate) fn flush(&self) -> FlushStatus {
         let mut q = self.queue.lock().expect("write queue poisoned");
-        let mut wrote_any = false;
         loop {
             let Some(front) = q.chunks.front() else {
                 self.queued.store(0, Ordering::SeqCst);
+                self.note_progress();
                 return FlushStatus::Drained;
             };
             let front_len = front.len();
-            match stream.write(&front[q.head..]) {
-                Ok(0) => return FlushStatus::Closed,
-                Ok(n) => {
-                    wrote_any = true;
-                    self.obs.bytes_out.add(n as u64);
-                    q.head += n;
-                    self.queued.fetch_sub(n, Ordering::SeqCst);
-                    if q.head >= front_len {
-                        q.head = 0;
-                        q.chunks.pop_front();
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    return FlushStatus::Pending { wrote_any };
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return FlushStatus::Closed,
+            let n = match self.write_some(&front[q.head..]) {
+                Ok(n) => n,
+                Err(SocketClosed) => return FlushStatus::Closed,
+            };
+            q.head += n;
+            self.queued.fetch_sub(n, Ordering::SeqCst);
+            if q.head < front_len {
+                return FlushStatus::Pending;
             }
+            q.head = 0;
+            q.chunks.pop_front();
         }
     }
 }
@@ -174,17 +267,22 @@ impl ConnShared {
 /// server-side generation.
 ///
 /// Cloneable and `Send`; outlives the connection harmlessly (pushes to a
-/// dead connection are silently dropped).
+/// dead connection are silently dropped, and the socket is shut down when
+/// the connection closes, so a handle held past that point does not keep
+/// the peer waiting for EOF).
 #[derive(Clone, Debug)]
 pub struct ConnHandle {
     pub(crate) shared: Arc<ConnShared>,
 }
 
 impl ConnHandle {
-    /// Queues `bytes` for delivery and wakes the event loop.  Never blocks;
-    /// silently drops the bytes when the peer has disconnected.
-    pub fn push(&self, bytes: Vec<u8>) {
-        self.shared.enqueue(bytes, true);
+    /// Sends `bytes` after everything pushed before them.  Never blocks:
+    /// with an empty write queue the bytes go straight to the socket and
+    /// only the unsent tail is copied into the queue (waking the event loop
+    /// to flush it); otherwise they are appended to the queue.  Silently
+    /// drops the bytes when the peer has disconnected.
+    pub fn push(&self, bytes: &[u8]) {
+        self.shared.send(bytes, true);
     }
 
     /// Bytes queued but not yet accepted by the kernel.

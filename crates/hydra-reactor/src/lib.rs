@@ -15,11 +15,13 @@
 //!   into an output buffer, and hands heavier requests back as boxed
 //!   [`ConnTask`]s.
 //! * Tasks run on the worker pool, pushing response bytes through a
-//!   [`ConnHandle`] and cooperating via [`TaskPoll`]: `Yield` between
+//!   [`ConnHandle`] — straight to the socket while the connection's write
+//!   queue is empty, into the queue (flushed by the loop on writability)
+//!   otherwise — and cooperating via [`TaskPoll`]: `Yield` between
 //!   work slices, `Sleep` for velocity pacing (a timer wheel replaces
 //!   every `thread::sleep`), `AwaitDrain` when the connection's bounded
 //!   write queue passes high water — backpressure parks the *task*, never
-//!   a thread.
+//!   a thread.  A task that panics closes its connection, not its worker.
 //! * [`ShutdownSignal`] wakes the loop through a self-pipe [`Waker`];
 //!   the old wake-by-connect listener hack (and its lost-trigger race) is
 //!   gone.
@@ -132,8 +134,8 @@ pub struct ReactorConfig {
     /// (`AwaitDrain`) above it and resume below half of it.
     pub write_queue_cap: usize,
     /// A connection whose queue is non-empty and makes no write progress
-    /// for this long is forcibly disconnected (the stalled-reader
-    /// deadline).
+    /// (by the reactor or by a task writing directly) for this long is
+    /// forcibly disconnected (the stalled-reader deadline).
     pub stall_timeout: Duration,
     /// After shutdown triggers, in-flight requests get this long to finish
     /// and flush before remaining connections are force-closed.
@@ -224,7 +226,8 @@ impl ReactorMetrics {
     }
 
     /// High-water mark of any single connection's write queue, in bytes.
-    /// Bounded by `write_queue_cap` plus one task slice.
+    /// Bounded by `write_queue_cap` plus one push (a stream checks the mark
+    /// between batches).
     pub fn peak_queued_bytes(&self) -> u64 {
         self.peak_queued_bytes.load(Ordering::SeqCst)
     }

@@ -21,6 +21,8 @@ pub(crate) struct ReactorObs {
     pub closes: Arc<Counter>,
     pub evictions: Arc<Counter>,
     pub parks: Arc<Counter>,
+    /// Task polls that panicked and were contained by the pool.
+    pub task_panics: Arc<Counter>,
     pub timer_cascades: Arc<Counter>,
     pub bytes_in: Arc<Counter>,
     pub bytes_out: Arc<Counter>,
@@ -38,6 +40,7 @@ impl ReactorObs {
             closes: registry.counter("hydra_reactor_closes_total"),
             evictions: registry.counter("hydra_reactor_evictions_total"),
             parks: registry.counter("hydra_reactor_parks_total"),
+            task_panics: registry.counter("hydra_reactor_task_panics_total"),
             timer_cascades: registry.counter("hydra_reactor_timer_cascades_total"),
             bytes_in: registry.counter("hydra_reactor_bytes_in_total"),
             bytes_out: registry.counter("hydra_reactor_bytes_out_total"),

@@ -7,11 +7,15 @@
 //! the back of the queue, which is what keeps one long stream from
 //! monopolising a worker while a thousand short requests wait.  The thread
 //! count is fixed at startup — this pool never grows, which is the whole
-//! point of the exercise.
+//! point of the exercise.  A task that panics is contained: its
+//! connection closes, the panic is counted, and the worker thread lives
+//! on to serve the next job.
 
 use crate::wake::Waker;
 use crate::{ConnHandle, ConnTask, TaskPoll};
+use hydra_obs::Counter;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -49,6 +53,8 @@ struct PoolInner {
     live: AtomicUsize,
     completions: Mutex<Vec<Completion>>,
     waker: Waker,
+    /// Task polls that panicked (`hydra_reactor_task_panics_total`).
+    panics: Arc<Counter>,
 }
 
 impl PoolInner {
@@ -78,8 +84,9 @@ pub(crate) struct WorkerPool {
 
 impl WorkerPool {
     /// Spawns `workers` threads that report completions into the shared
-    /// list and wake the reactor through `waker`.
-    pub(crate) fn new(workers: usize, waker: Waker) -> WorkerPool {
+    /// list and wake the reactor through `waker`, counting contained task
+    /// panics in `panics`.
+    pub(crate) fn new(workers: usize, waker: Waker, panics: Arc<Counter>) -> WorkerPool {
         let inner = Arc::new(PoolInner {
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
@@ -87,6 +94,7 @@ impl WorkerPool {
             live: AtomicUsize::new(workers),
             completions: Mutex::new(Vec::new()),
             waker,
+            panics,
         });
         let threads = (0..workers)
             .map(|i| {
@@ -157,7 +165,15 @@ fn worker_loop(inner: &PoolInner) {
             mut task,
             conn,
         } = job;
-        match task.poll(&conn) {
+        // A panicking task must not take its worker down with it: the pool
+        // never replaces threads.  The task is dropped and its connection
+        // closes.
+        let Ok(poll) = catch_unwind(AssertUnwindSafe(|| task.poll(&conn))) else {
+            inner.panics.inc();
+            inner.complete(token, TaskResult::DoneClose);
+            continue;
+        };
+        match poll {
             TaskPoll::Yield => inner.push_job(Job { token, task, conn }),
             TaskPoll::Done => inner.complete(token, TaskResult::Done),
             TaskPoll::DoneClose => inner.complete(token, TaskResult::DoneClose),

@@ -13,11 +13,14 @@
 //!                └── EOF / RDHUP / write error / stall ──► closed
 //! ```
 //!
-//! The loop owns all sockets and all parser state; worker threads only
-//! ever touch a [`ConnHandle`].  Everything that could block — request
-//! compute, velocity sleeps, slow-client writes — is exported off the
-//! loop (pool, timer wheel, write queues), which is what keeps one
-//! stalled peer from costing anyone else a microsecond.
+//! The loop owns all reads and all parser state; worker threads only
+//! ever touch a [`ConnHandle`], through which they write response bytes
+//! straight to the socket while its write queue is empty.  The loop only
+//! flushes the tails the kernel refused, once the socket reports
+//! writable.  Everything that could block — request compute, velocity
+//! sleeps, slow-client writes — is exported off the loop (pool, timer
+//! wheel, write queues), which is what keeps one stalled peer from
+//! costing anyone else a microsecond.
 
 use crate::conn::{ConnObs, ConnShared, FlushStatus};
 use crate::obs::ReactorObs;
@@ -150,7 +153,11 @@ impl ReactorBuilder {
         let metrics: SharedMetrics = Arc::new(ReactorMetrics::default());
         let obs_registry = self.observe.unwrap_or_default();
         let obs = ReactorObs::resolve(&obs_registry);
-        let pool = WorkerPool::new(self.config.effective_workers(), wake.waker());
+        let pool = WorkerPool::new(
+            self.config.effective_workers(),
+            wake.waker(),
+            Arc::clone(&obs.task_panics),
+        );
         let low_water = (self.config.write_queue_cap / 2).max(1);
         let shutdown_grace = self.config.shutdown_grace;
         let mut inner = Inner {
@@ -271,7 +278,6 @@ enum ConnState {
 }
 
 struct Conn {
-    stream: TcpStream,
     handler: Box<dyn ConnHandler>,
     shared: Arc<ConnShared>,
     read_buf: Vec<u8>,
@@ -280,8 +286,6 @@ struct Conn {
     interest: u32,
     close_after_flush: bool,
     read_paused: bool,
-    /// Last instant the write queue made progress (or was empty).
-    last_drain: Instant,
 }
 
 struct Inner {
@@ -402,6 +406,7 @@ impl Inner {
         self.next_token += 1;
         let shared = ConnShared::new(
             token,
+            stream,
             self.config.write_queue_cap,
             Arc::clone(&self.dirty),
             self.wake.waker(),
@@ -414,7 +419,7 @@ impl Inner {
         let interest = EPOLLIN | EPOLLRDHUP;
         if self
             .poller
-            .add(stream.as_raw_fd(), token, interest)
+            .add(shared.stream().as_raw_fd(), token, interest)
             .is_err()
         {
             return;
@@ -426,7 +431,6 @@ impl Inner {
         self.conns.insert(
             token,
             Conn {
-                stream,
                 handler,
                 shared,
                 read_buf: Vec::new(),
@@ -434,7 +438,6 @@ impl Inner {
                 interest,
                 close_after_flush: false,
                 read_paused: false,
-                last_drain: Instant::now(),
             },
         );
     }
@@ -493,7 +496,7 @@ impl Inner {
             }
             let old = conn.read_buf.len();
             conn.read_buf.resize(old + READ_CHUNK, 0);
-            match conn.stream.read(&mut conn.read_buf[old..]) {
+            match conn.shared.stream().read(&mut conn.read_buf[old..]) {
                 Ok(0) => {
                     // Peer closed.  Matches the blocking servers: EOF ends
                     // the conversation even if a response is in flight.
@@ -546,7 +549,7 @@ impl Inner {
                 conn.read_buf.drain(..consumed);
             }
             if !out.is_empty() {
-                conn.shared.enqueue(std::mem::take(&mut out), false);
+                conn.shared.send(&out, false);
             }
             match outcome {
                 HandlerOutcome::Continue => {
@@ -590,19 +593,13 @@ impl Inner {
             return;
         };
         conn.shared.clear_dirty();
-        if conn.shared.queued_bytes() == 0 {
-            conn.last_drain = Instant::now();
-            if conn.close_after_flush {
-                self.kill_conn(token, false);
-                return;
-            }
-            self.update_interest(token);
-            self.maybe_resume_parked(token);
+        if conn.shared.is_dead() {
+            // A worker's direct write found the socket closed.
+            self.kill_conn(token, false);
             return;
         }
-        match conn.shared.flush(&mut conn.stream) {
+        match conn.shared.flush() {
             FlushStatus::Drained => {
-                conn.last_drain = Instant::now();
                 if conn.close_after_flush {
                     self.kill_conn(token, false);
                     return;
@@ -610,10 +607,7 @@ impl Inner {
                 self.update_interest(token);
                 self.maybe_resume_parked(token);
             }
-            FlushStatus::Pending { wrote_any } => {
-                if wrote_any {
-                    conn.last_drain = Instant::now();
-                }
+            FlushStatus::Pending => {
                 self.update_interest(token);
                 self.arm_stall_tick();
                 self.maybe_resume_parked(token);
@@ -659,7 +653,9 @@ impl Inner {
         }
         if mask != conn.interest {
             conn.interest = mask;
-            let _ = self.poller.modify(conn.stream.as_raw_fd(), token, mask);
+            let _ = self
+                .poller
+                .modify(conn.shared.stream().as_raw_fd(), token, mask);
         }
     }
 
@@ -669,8 +665,8 @@ impl Inner {
         let Some(conn) = self.conns.remove(&token) else {
             return;
         };
-        conn.shared.mark_dead();
-        self.poller.delete(conn.stream.as_raw_fd());
+        self.poller.delete(conn.shared.stream().as_raw_fd());
+        conn.shared.close();
         if stalled {
             self.metrics.note_stall();
             self.obs.evictions.inc();
@@ -685,7 +681,7 @@ impl Inner {
         self.metrics.note_close();
         self.obs.closes.inc();
         self.obs.active.dec();
-        drop(conn); // closes the fd
+        drop(conn); // closes the fd unless a running task still holds it
         if self.accept_paused && self.conns.len() < self.config.max_connections {
             self.resume_accepting();
         }
@@ -797,7 +793,7 @@ impl Inner {
             if conn.shared.queued_bytes() == 0 {
                 continue;
             }
-            if now.duration_since(conn.last_drain) >= self.config.stall_timeout {
+            if conn.shared.stalled_for(now) >= self.config.stall_timeout {
                 doomed.push(token);
             } else {
                 any_pending = true;
@@ -849,7 +845,10 @@ mod tests {
     /// Line-oriented echo: `echo <text>\n` answered inline, `task <text>\n`
     /// answered from the worker pool, `slow <text>\n` answered after a
     /// 30ms timer sleep, `blob <n>\n` pushes n bytes honouring
-    /// backpressure, `bye\n` closes.
+    /// backpressure, `seq <n>\n` pushes n pattern bytes in ragged chunks,
+    /// `pace <ms>\n` trickles for that long and then bursts, `hold\n`
+    /// keeps its worker (and handle) until [`HOLD_RELEASE`], `panic\n`
+    /// panics on the worker, `bye\n` closes.
     struct TestProtocol;
 
     impl Protocol for TestProtocol {
@@ -899,6 +898,33 @@ mod tests {
                     HandlerOutcome::Task(Box::new(BlobTask { remaining: n })),
                 );
             }
+            if let Some(rest) = line.strip_prefix("seq ") {
+                let n: u64 = rest.parse().unwrap_or(0);
+                return (
+                    consumed,
+                    HandlerOutcome::Task(Box::new(SeqTask {
+                        sent: 0,
+                        total: n,
+                        rng: 0x9E37_79B9,
+                    })),
+                );
+            }
+            if let Some(rest) = line.strip_prefix("pace ") {
+                let ms: u64 = rest.parse().unwrap_or(0);
+                return (
+                    consumed,
+                    HandlerOutcome::Task(Box::new(PacedTask {
+                        trickle_until: Instant::now() + Duration::from_millis(ms),
+                        burst_left: BURST_BYTES,
+                    })),
+                );
+            }
+            if line == "hold" {
+                return (consumed, HandlerOutcome::Task(Box::new(HoldTask)));
+            }
+            if line == "panic" {
+                return (consumed, HandlerOutcome::Task(Box::new(PanicTask)));
+            }
             out.extend_from_slice(b"?\n");
             (consumed, HandlerOutcome::Continue)
         }
@@ -911,7 +937,7 @@ mod tests {
     impl ConnTask for ReplyTask {
         fn poll(&mut self, conn: &ConnHandle) -> TaskPoll {
             if let Some(text) = self.text.take() {
-                conn.push(format!("worker:{text}\n").into_bytes());
+                conn.push(format!("worker:{text}\n").as_bytes());
             }
             TaskPoll::Done
         }
@@ -928,7 +954,7 @@ mod tests {
                 self.slept = true;
                 return TaskPoll::Sleep(Duration::from_millis(30));
             }
-            conn.push(format!("slow:{}\n", self.text).into_bytes());
+            conn.push(format!("slow:{}\n", self.text).as_bytes());
             TaskPoll::Done
         }
     }
@@ -946,13 +972,107 @@ mod tests {
                 return TaskPoll::AwaitDrain;
             }
             if self.remaining == 0 {
-                conn.push(b"blob-done\n".to_vec());
+                conn.push(b"blob-done\n");
                 return TaskPoll::Done;
             }
             let slice = self.remaining.min(16 * 1024);
             self.remaining -= slice;
-            conn.push(vec![b'x'; slice]);
+            conn.push(&vec![b'x'; slice]);
             TaskPoll::Yield
+        }
+    }
+
+    /// The byte at offset `i` of a `seq` stream.
+    fn seq_byte(i: u64) -> u8 {
+        (i % 251) as u8
+    }
+
+    /// Pushes `total` pattern bytes in ragged chunks (1 B to 16 KiB), so
+    /// queued tails split at arbitrary offsets.
+    struct SeqTask {
+        sent: u64,
+        total: u64,
+        rng: u64,
+    }
+
+    impl ConnTask for SeqTask {
+        fn poll(&mut self, conn: &ConnHandle) -> TaskPoll {
+            if conn.is_dead() || self.sent == self.total {
+                return TaskPoll::Done;
+            }
+            if conn.over_high_water() {
+                return TaskPoll::AwaitDrain;
+            }
+            self.rng = self.rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let len = ((self.rng >> 33) % (16 * 1024) + 1).min(self.total - self.sent);
+            let chunk: Vec<u8> = (self.sent..self.sent + len).map(seq_byte).collect();
+            conn.push(&chunk);
+            self.sent += len;
+            TaskPoll::Yield
+        }
+    }
+
+    /// Bytes a `pace` task bursts after trickling.
+    const BURST_BYTES: usize = 32 << 20;
+
+    /// Trickles 8 KiB of `x` per millisecond of simulated work until
+    /// `trickle_until` (every write direct, no completion reaches the
+    /// reactor), then bursts [`BURST_BYTES`] of `y` under backpressure and
+    /// ends with `done\n`.
+    struct PacedTask {
+        trickle_until: Instant,
+        burst_left: usize,
+    }
+
+    impl ConnTask for PacedTask {
+        fn poll(&mut self, conn: &ConnHandle) -> TaskPoll {
+            if conn.is_dead() {
+                return TaskPoll::Done;
+            }
+            if Instant::now() < self.trickle_until {
+                std::thread::sleep(Duration::from_millis(1));
+                conn.push(&[b'x'; 8 * 1024]);
+                return TaskPoll::Yield;
+            }
+            if conn.over_high_water() {
+                return TaskPoll::AwaitDrain;
+            }
+            if self.burst_left == 0 {
+                conn.push(b"done\n");
+                return TaskPoll::Done;
+            }
+            let slice = self.burst_left.min(64 * 1024);
+            self.burst_left -= slice;
+            conn.push(&vec![b'y'; slice]);
+            TaskPoll::Yield
+        }
+    }
+
+    /// Lets the (single) held task return.
+    static HOLD_RELEASE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
+    /// Answers `held\n`, then occupies its worker (still holding the
+    /// connection handle) until released — a long solve in miniature.
+    struct HoldTask;
+
+    impl ConnTask for HoldTask {
+        fn poll(&mut self, conn: &ConnHandle) -> TaskPoll {
+            conn.push(b"held\n");
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !HOLD_RELEASE.load(std::sync::atomic::Ordering::SeqCst)
+                && Instant::now() < deadline
+            {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            TaskPoll::Done
+        }
+    }
+
+    struct PanicTask;
+
+    impl ConnTask for PanicTask {
+        fn poll(&mut self, _conn: &ConnHandle) -> TaskPoll {
+            panic!("deliberate task panic");
         }
     }
 
@@ -1119,5 +1239,140 @@ mod tests {
         stream.read_to_end(&mut rest).expect("read");
         assert!(rest.is_empty(), "idle conn should be closed cleanly");
         assert!(TcpStream::connect(addr).is_err(), "listener still open");
+    }
+    #[test]
+    fn write_through_keeps_bytes_in_order_for_a_dripping_reader() {
+        // A roomy queue keeps the task pushing while a tail is queued, so
+        // its pushes race the reactor's flushes for the socket.
+        let handle = start_test_reactor(|b| b.write_queue_cap(1 << 20));
+        let addr = handle.local_addrs()[0];
+        let metrics = handle.metrics();
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let total: u64 = 16 << 20;
+        stream
+            .write_all(format!("seq {total}\n").as_bytes())
+            .expect("write");
+        // Let the socket and then the queue fill before reading at all.
+        std::thread::sleep(Duration::from_millis(100));
+        let mut got: u64 = 0;
+        let mut buf = vec![0u8; 7 * 1024 + 13];
+        let mut since_pause: u64 = 0;
+        while got < total {
+            let want = buf.len().min((total - got) as usize);
+            let n = stream.read(&mut buf[..want]).expect("read");
+            assert!(n > 0, "eof after {got} of {total} bytes");
+            for (k, &byte) in buf[..n].iter().enumerate() {
+                let at = got + k as u64;
+                assert_eq!(byte, seq_byte(at), "byte {at} out of order");
+            }
+            got += n as u64;
+            since_pause += n as u64;
+            if since_pause >= 256 * 1024 {
+                since_pause = 0;
+                std::thread::sleep(Duration::from_millis(3));
+            }
+        }
+        assert!(
+            metrics.peak_queued_bytes() > 0,
+            "the reader never stalled the socket, so no tail was queued"
+        );
+        // Nothing beyond the pattern, and the connection is still usable.
+        stream.write_all(b"echo after\n").expect("write");
+        assert_eq!(read_line(&mut stream), "after");
+        handle.shutdown();
+    }
+
+    #[test]
+    fn direct_writes_keep_the_stall_clock_running() {
+        let handle = start_test_reactor(|b| {
+            b.write_queue_cap(32 * 1024)
+                .stall_timeout(Duration::from_millis(200))
+        });
+        let addr = handle.local_addrs()[0];
+        let metrics = handle.metrics();
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        // More than twice the stall timeout of direct writes ...
+        stream.write_all(b"pace 450\n").expect("write");
+        let mut buf = vec![0u8; 64 * 1024];
+        let mut tail = Vec::new();
+        let mut burst = 0usize;
+        let mut paused = false;
+        while !tail.ends_with(b"done\n") {
+            let n = stream.read(&mut buf).expect("read");
+            assert!(n > 0, "evicted: eof after {burst} burst bytes");
+            let chunk = &buf[..n];
+            burst += chunk.iter().filter(|&&b| b == b'y').count();
+            if !paused && chunk.contains(&b'y') {
+                // ... then a pause shorter than the timeout, long enough
+                // for the burst to fill the socket and the queue.
+                paused = true;
+                std::thread::sleep(Duration::from_millis(120));
+            }
+            tail.extend_from_slice(chunk);
+            if tail.len() > 8 {
+                tail.drain(..tail.len() - 8);
+            }
+        }
+        assert!(paused, "the burst never started");
+        assert_eq!(burst, BURST_BYTES);
+        assert_eq!(metrics.stalled_disconnects(), 0);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn killed_connection_reaches_the_peer_while_a_task_holds_its_handle() {
+        let handle = start_test_reactor(|b| b.shutdown_grace(Duration::from_millis(50)));
+        let addr = handle.local_addrs()[0];
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(b"hold\n").expect("write");
+        assert_eq!(read_line(&mut stream), "held");
+        // The grace period expires with the task still running: the
+        // reactor kills the connection, but the task keeps its handle.
+        let killed = Instant::now();
+        handle.shutdown_signal().trigger();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .expect("timeout");
+        let mut rest = Vec::new();
+        let eof = stream.read_to_end(&mut rest);
+        HOLD_RELEASE.store(true, std::sync::atomic::Ordering::SeqCst);
+        assert!(
+            eof.is_ok(),
+            "no EOF while the task held the handle: {eof:?}"
+        );
+        assert!(rest.is_empty());
+        assert!(killed.elapsed() < Duration::from_secs(1), "EOF came late");
+        handle.join();
+    }
+
+    #[test]
+    fn panicking_task_closes_its_connection_and_the_worker_survives() {
+        let registry = hydra_obs::MetricsRegistry::new();
+        let obs = Arc::clone(&registry);
+        let handle = start_test_reactor(move |b| b.workers(1).observe(obs));
+        let addr = handle.local_addrs()[0];
+        let metrics = handle.metrics();
+        let mut doomed = TcpStream::connect(addr).expect("connect");
+        doomed.write_all(b"panic\n").expect("write");
+        doomed
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let mut rest = Vec::new();
+        doomed.read_to_end(&mut rest).expect("eof");
+        assert!(rest.is_empty());
+        assert_eq!(
+            registry.counter("hydra_reactor_task_panics_total").value(),
+            1
+        );
+        // The one worker still serves a second connection.
+        let mut next = TcpStream::connect(addr).expect("connect");
+        next.write_all(b"task alive\n").expect("write");
+        assert_eq!(read_line(&mut next), "worker:alive");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while metrics.tasks_inflight() > 0 {
+            assert!(Instant::now() < deadline, "panicked task leaked");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        handle.shutdown();
     }
 }

@@ -52,7 +52,7 @@ impl ConnHandler for EchoHandler {
 
 impl ConnTask for EchoTask {
     fn poll(&mut self, conn: &ConnHandle) -> TaskPoll {
-        conn.push(std::mem::take(&mut self.line));
+        conn.push(&self.line);
         TaskPoll::Done
     }
 }

@@ -54,10 +54,10 @@ use std::time::{Duration, Instant};
 
 use hydra_reactor::ShutdownSignal;
 
-/// Rows generated per worker-pool poll slice of a streaming task.  Small
-/// enough that thousands of concurrent streams interleave fairly on a
-/// fixed pool; large enough that per-slice seek and scheduling overhead is
-/// noise.
+/// Rows generated per worker-pool poll slice of an unthrottled streaming
+/// task (a throttled one pulses one batch per poll).  Small enough that
+/// thousands of concurrent streams interleave fairly on a fixed pool;
+/// large enough that per-slice seek and scheduling overhead is noise.
 const STREAM_SLICE_ROWS: u64 = 8192;
 
 /// Serves one request, producing the response frame's message.  The shared
@@ -368,7 +368,7 @@ impl FrameTask {
             Request::Stream(request) => match StreamState::open(&self.registry, &request) {
                 Ok((header, stream)) => {
                     self.obs.frame_bytes.add(header.len() as u64);
-                    conn.push(header);
+                    conn.push(&header);
                     // The span now spans the whole stream: it closes (and
                     // records) at the trailer or on a mid-stream error.
                     self.span = Some(span);
@@ -394,7 +394,7 @@ impl FrameTask {
                 match encode_frame(&response) {
                     Ok(frame) => {
                         self.obs.frame_bytes.add(frame.len() as u64);
-                        conn.push(frame);
+                        conn.push(&frame);
                     }
                     Err(e) => {
                         // A pathological answer can exceed the frame cap;
@@ -420,7 +420,7 @@ impl FrameTask {
                 match encode_frame(&response) {
                     Ok(frame) => {
                         self.obs.frame_bytes.add(frame.len() as u64);
-                        conn.push(frame);
+                        conn.push(&frame);
                         TaskPoll::Done
                     }
                     // An unframeable response outside Query closed the
@@ -557,17 +557,19 @@ impl StreamState {
                 target_rows_per_sec: self.governor.target_rate(),
             }))?;
             obs.frame_bytes.add(trailer.len() as u64);
-            conn.push(trailer);
+            conn.push(&trailer);
             obs.record_stream(&self.table, &self.governor);
             return Ok(TaskPoll::Done);
         }
-        // Emit in pulses of up to one batch (bounded by the slice cap): a
-        // throttled stream sleeps until the *whole* pulse is due, which puts
-        // each Batch frame on the wire at the same moment the blocking
-        // per-row pacing would have completed it.
-        let goal = (self.batch_rows as u64)
-            .min(remaining)
-            .min(STREAM_SLICE_ROWS);
+        // A throttled stream emits in pulses of up to one batch: it sleeps
+        // until the *whole* pulse is due, which puts each Batch frame on the
+        // wire at the same moment the blocking per-row pacing would have
+        // completed it.  An unthrottled stream fills a whole slice per poll.
+        let pulse = match self.governor.target_rate() {
+            Some(_) => self.batch_rows as u64,
+            None => STREAM_SLICE_ROWS,
+        };
+        let goal = pulse.min(remaining).min(STREAM_SLICE_ROWS);
         if let Some(budget) = self.governor.budget() {
             if budget < goal {
                 let wait = self
@@ -582,20 +584,27 @@ impl StreamState {
         // bit-identical to one continuous scan (the shard-determinism suite
         // proves it).  Rows flow block-wise through the shared encoder's
         // cached templates, so each tuple is a memcpy plus a pk digit patch.
+        // A queue that passes high water between batches ends the pulse
+        // early, so it overshoots its cap by at most one batch.
         let mut tuples = self
             .generator
             .stream_range(&self.table, self.cursor..self.cursor + goal)
             .map_err(|e| ServiceError::Hydra(hydra_core::error::HydraError::Engine(e)))?;
-        while let Some(block) = tuples.next_block(u64::MAX) {
+        let mut done = 0;
+        'pulse: while let Some(block) = tuples.next_block(u64::MAX) {
             for pk in block.pk_range() {
                 self.encoder.append_template_row(&block, pk);
+                done += 1;
                 if self.encoder.is_full() {
                     self.encoder.flush(&mut emit_frame(conn, obs))?;
+                    if conn.over_high_water() {
+                        break 'pulse;
+                    }
                 }
             }
         }
-        self.cursor += goal;
-        self.governor.note(goal);
+        self.cursor += done;
+        self.governor.note(done);
         Ok(TaskPoll::Yield)
     }
 
@@ -614,7 +623,7 @@ fn emit_frame<'e>(
     move |frame: &[u8], rows: u64| {
         obs.frame_bytes.add(frame.len() as u64);
         obs.stream_rows.add(rows);
-        conn.push(frame.to_vec());
+        conn.push(frame);
         Ok(())
     }
 }
@@ -633,7 +642,7 @@ fn parse_request(payload: &[u8]) -> Result<Request, ServiceError> {
 fn push(conn: &ConnHandle, obs: &FrameObs, response: &Response) {
     if let Ok(frame) = encode_frame(response) {
         obs.frame_bytes.add(frame.len() as u64);
-        conn.push(frame);
+        conn.push(&frame);
     }
 }
 

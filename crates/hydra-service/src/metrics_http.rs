@@ -137,7 +137,7 @@ impl ConnTask for MetricsTask {
                 )
             }
         };
-        conn.push(response);
+        conn.push(&response);
         TaskPoll::DoneClose
     }
 }

@@ -42,11 +42,17 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
+/// Deepest array/object nesting [`from_str`] accepts, the same recursion
+/// limit real serde_json enforces.  Deeper input is an error rather than a
+/// stack overflow, and it also bounds the recursion of dropping the tree.
+pub const RECURSION_LIMIT: usize = 128;
+
 /// Parses a value from JSON text.
 pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let content = parser.parse_value()?;
@@ -157,6 +163,8 @@ fn write_json_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -187,8 +195,8 @@ impl Parser<'_> {
     fn parse_value(&mut self) -> Result<Content, Error> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(Content::Str(self.parse_string()?)),
             Some(b't') => self.parse_literal("true", Content::Bool(true)),
             Some(b'f') => self.parse_literal("false", Content::Bool(false)),
@@ -200,6 +208,21 @@ impl Parser<'_> {
             ))),
             None => Err(Error("unexpected end of input".to_string())),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, failing past
+    /// [`RECURSION_LIMIT`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Content, Error>) -> Result<Content, Error> {
+        if self.depth == RECURSION_LIMIT {
+            return Err(Error(format!(
+                "recursion limit exceeded at offset {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_literal(&mut self, lit: &str, value: Content) -> Result<Content, Error> {
@@ -377,5 +400,26 @@ impl Parser<'_> {
         text.parse::<f64>()
             .map(Content::F64)
             .map_err(|_| Error(format!("invalid number `{text}`")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nesting_up_to_the_limit_parses_and_deeper_is_an_error() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Content>(&nest(RECURSION_LIMIT)).is_ok());
+        let err = from_str::<Content>(&nest(RECURSION_LIMIT + 1)).unwrap_err();
+        assert!(err.0.contains("recursion limit exceeded"), "{err}");
+        let objects = format!(
+            "{}{}",
+            r#"{"a":"#.repeat(RECURSION_LIMIT + 1),
+            "}".repeat(RECURSION_LIMIT + 1)
+        );
+        assert!(from_str::<Content>(&objects).is_err());
+        // Far deeper than any thread stack could recurse: still just an error.
+        assert!(from_str::<Content>(&"[".repeat(2 << 20)).is_err());
     }
 }

@@ -16,7 +16,10 @@
 //! * the reactor must hold **hundreds of concurrent connections on one
 //!   worker** (the CI smoke for the `connection_scaling` bench);
 //! * a **shutdown racing an accept storm** must never strand a listener
-//!   (the self-pipe waker regression).
+//!   (the self-pipe waker regression);
+//! * one **deeply nested frame** (2 MB of `[`) must get an `Error` frame
+//!   back from a real `hydra-serve` process instead of overflowing a
+//!   worker's stack and aborting it.
 //!
 //! Several tests count process-wide fds and threads, so the suite
 //! serializes itself behind one mutex instead of relying on
@@ -31,8 +34,10 @@ use hydra::service::server::{serve_threaded, serve_with_options, ReactorConfig, 
 use hydra::service::HydraClient;
 use hydra::Hydra;
 use hydra_tester::HydraTester;
+use std::io::{BufRead, BufReader};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -806,4 +811,67 @@ fn metrics_invariants_hold_under_connection_storm() {
 
     signal.trigger();
     reactor.join();
+}
+
+#[test]
+fn deeply_nested_frame_gets_an_error_and_the_server_survives() {
+    let _guard = counters_lock();
+    // A child process, so a stack overflow would abort it, not this test.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hydra-serve"))
+        .args(["--addr", "127.0.0.1:0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn hydra-serve");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let addr: SocketAddr = loop {
+        let mut line = String::new();
+        let n = stdout.read_line(&mut line).expect("read server stdout");
+        assert!(n > 0, "hydra-serve exited before binding");
+        if let Some(addr) = line.trim().strip_prefix("hydra-serve listening on ") {
+            break addr.parse().expect("frame addr");
+        }
+    };
+    let drain = std::thread::spawn(move || {
+        let mut sink = Vec::new();
+        let _ = stdout.read_to_end(&mut sink);
+    });
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let payload = vec![b'['; 2 << 20];
+    let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(&payload);
+    stream.write_all(&frame).expect("send nested frame");
+    match parse_frame(&read_frame_raw(&mut stream)) {
+        Response::Error { message } => {
+            assert!(message.contains("recursion limit"), "{message}");
+        }
+        other => panic!("expected an Error frame, got {other:?}"),
+    }
+    // Framing stayed in sync: the same connection serves the next request.
+    stream
+        .write_all(&frame_bytes(&Request::List))
+        .expect("send List");
+    assert!(matches!(
+        parse_frame(&read_frame_raw(&mut stream)),
+        Response::SummaryList(_)
+    ));
+    assert!(
+        child.try_wait().expect("poll child").is_none(),
+        "hydra-serve died"
+    );
+
+    stream
+        .write_all(&frame_bytes(&Request::Shutdown))
+        .expect("send Shutdown");
+    assert!(matches!(
+        parse_frame(&read_frame_raw(&mut stream)),
+        Response::ShuttingDown
+    ));
+    let status = child.wait().expect("reap hydra-serve");
+    assert!(status.success(), "hydra-serve exited with {status}");
+    drain.join().expect("stdout drain");
 }
